@@ -93,12 +93,12 @@ class Connection:
             await self.close()
         return status, payload
 
-    async def request(self, method: str, path: str, body: bytes = b"",
-                      timeout: float = REQUEST_TIMEOUT_S) -> Tuple[int, bytes]:
+    async def request(self, method: str, path: str,
+                      body: bytes = b"") -> Tuple[int, bytes]:
         """Send one request; raises on timeout, reset or malformed reply."""
         try:
             return await asyncio.wait_for(
-                self._exchange(method, path, body), timeout)
+                self._exchange(method, path, body), REQUEST_TIMEOUT_S)
         except BaseException:
             await self.close()
             raise

@@ -43,15 +43,17 @@ from workloads import (  # noqa: E402
 
 #: Set-ups per untraced run; ``setup_s`` and ``index_build_s`` use medians.
 SETUP_REPEATS = 3
-#: Closed-loop capacity phase, at the start of the window.
-CAPACITY_SECONDS = 4.0
+#: Closed-loop capacity time per window, split into CAPACITY_BURSTS equal
+#: bursts: one at the start, one after each slice of the paced phase.
+#: ``capacity_qps`` is the median burst, so one slow spell moves it less.
+CAPACITY_SECONDS = 6.0
+CAPACITY_BURSTS = 3
 #: Read answers checked per pass (a seeded sample of the window's answers).
 VERIFY_SAMPLE = 300
-#: Warm-up: closed-loop chunks until the chunk hit ratio moves less than
-#: WARMUP_LEVEL, at most WARMUP_CHUNKS chunks.
-WARMUP_CHUNK = 200
-WARMUP_CHUNKS = 3
-WARMUP_LEVEL = 0.05
+#: Warm-up requests of the workload's own stream, after the cache fill.
+WARMUP_REQUESTS = 200
+#: Cache-fill requests between two looks at ``GET /stats``.
+FILL_CHUNK = 100
 #: Seconds a pass may run beyond its window (warm-up, probes) before it fails.
 DRIVE_SLACK_S = 90.0
 #: Generator lateness beyond which a run is flagged as generator-bound.
@@ -79,9 +81,10 @@ class Pass:
 
     warmup_s: float = 0.0
     warmup_requests: int = 0
+    warmup_hit_ratio: float = 0.0
     setup_versions: List[int] = field(default_factory=list)
     saturated: List[loadgen.Record] = field(default_factory=list)
-    capacity_qps: float = 0.0
+    burst_qps: List[float] = field(default_factory=list)
     paced: Optional[loadgen.PacedResult] = None
     window: Tuple[float, float] = (0.0, 0.0)
     stats: Dict[str, float] = field(default_factory=dict)
@@ -94,6 +97,10 @@ class Pass:
     @property
     def records(self) -> List[loadgen.Record]:
         return self.saturated + self.paced.records
+
+    @property
+    def capacity_qps(self) -> float:
+        return statistics.median(self.burst_qps)
 
     def paced_group(self, group: str) -> List[loadgen.Record]:
         return [r for r in self.paced.records if r.group == group]
@@ -124,39 +131,43 @@ def _delta(after: Dict[str, float], before: Dict[str, float]) -> Dict[str, float
     return delta
 
 
-async def _warmup(workload: Workload, schedule: Schedule,
-                  conns: List[loadgen.Connection], result: Pass) -> None:
+async def _warmup(schedule: Schedule, conns: List[loadgen.Connection],
+                  result: Pass) -> None:
     """Bring the server to steady state before timing (counted in setup_s).
 
     ``update_mix`` first applies one update: a server cold-started from an
     index file pays a one-time full-system attach on its first update,
-    which belongs to set-up, not to the window.  Hot workloads then replay
-    their warm-up stream until the cache hit ratio of a chunk stops
-    moving; ``read_cold`` replays one chunk (its cache never fits).
+    which belongs to set-up, not to the window.  Then pair queries,
+    with endpoints drawn like the workload's, fill the walk cache until
+    ``GET /stats`` reports it full, so the window starts at the steady
+    hit ratio; last, the workload's own stream runs every query path.
+    All warm-up traffic is closed-loop, one query per request.
     """
     for body in schedule.setup_updates:
         status, reply = await loadgen.post_json(conns[-1], "/update", body)
         if status != 200:
             raise ServerError(f"set-up update answered {status}: {reply}")
         result.setup_versions.append(int(reply["index_version"]))
-    chunks = WARMUP_CHUNKS if workload.popularity == "zipf" else 1
-    previous: Optional[float] = None
-    before = await loadgen.get_json(conns[0], "/stats")
-    for start in range(0, chunks * WARMUP_CHUNK, WARMUP_CHUNK):
-        records, _ = await loadgen.run_closed(
-            conns, iter(schedule.warmup[start:start + WARMUP_CHUNK]))
+
+    async def closed(bodies: List[bytes]) -> None:
+        records, _ = await loadgen.run_closed(conns, iter(bodies))
         result.warmup_requests += len(records)
         bad = [r for r in records if not r.ok]
         if bad:
             raise ServerError(f"warm-up request failed: {bad[0].status} {bad[0].error}")
-        after = await loadgen.get_json(conns[0], "/stats")
-        hits = after["cache_hits"] - before["cache_hits"]
-        misses = after["cache_misses"] - before["cache_misses"]
-        ratio = hits / max(hits + misses, 1)
-        before = after
-        if previous is not None and abs(ratio - previous) < WARMUP_LEVEL:
+
+    for start in range(0, len(schedule.fill), FILL_CHUNK):
+        await closed(schedule.fill[start:start + FILL_CHUNK])
+        stats = await loadgen.get_json(conns[0], "/stats")
+        if stats["cache_size"] >= stats["cache_capacity"]:
             break
-        previous = ratio
+    else:
+        raise ServerError("the cache-fill stream ended before the cache was full")
+    await closed(schedule.warmup)
+    after = await loadgen.get_json(conns[0], "/stats")
+    hits = after["cache_hits"] - stats["cache_hits"]
+    misses = after["cache_misses"] - stats["cache_misses"]
+    result.warmup_hit_ratio = hits / max(hits + misses, 1)
 
 
 async def _drive(workload: Workload, schedule: Schedule, server: Server,
@@ -164,19 +175,28 @@ async def _drive(workload: Workload, schedule: Schedule, server: Server,
     conns = [loadgen.Connection("127.0.0.1", server.port) for _ in range(2)]
     try:
         began = time.perf_counter()
-        await _warmup(workload, schedule, conns, result)
+        await _warmup(schedule, conns, result)
         result.warmup_s = time.perf_counter() - began
 
         before = _flat_stats(await loadgen.get_json(conns[0], "/stats"))
         cpu_before = server.cpu_seconds()
         steal_before, ticks_before = host_cpu_ticks()
         window_start = time.monotonic()
-        result.saturated, elapsed = await loadgen.run_closed(
-            conns, iter(schedule.saturated), CAPACITY_SECONDS)
-        result.capacity_qps = sum(1 for r in result.saturated if r.ok) / elapsed
-        # Reads share both connections; update_mix keeps one for updates.
-        result.paced = await loadgen.run_paced(
-            conns, schedule.paced, shared=workload.update_interval is None)
+        saturated = iter(schedule.saturated)
+        result.paced = loadgen.PacedResult([], [])
+        slices = _paced_slices(schedule.paced, schedule.paced_seconds,
+                               CAPACITY_BURSTS - 1)
+        for burst in range(CAPACITY_BURSTS):
+            records, elapsed = await loadgen.run_closed(
+                conns, saturated, CAPACITY_SECONDS / CAPACITY_BURSTS)
+            result.saturated += records
+            result.burst_qps.append(sum(1 for r in records if r.ok) / elapsed)
+            if burst < len(slices):
+                # Reads share both connections; update_mix keeps one for updates.
+                paced = await loadgen.run_paced(
+                    conns, slices[burst], shared=workload.update_interval is None)
+                result.paced.records += paced.records
+                result.paced.gen_lag_ms += paced.gen_lag_ms
         result.window = (window_start, time.monotonic())
         result.cpu_s = server.cpu_seconds() - cpu_before
         steal, ticks = host_cpu_ticks()
@@ -196,6 +216,21 @@ async def _drive(workload: Workload, schedule: Schedule, server: Server,
     finally:
         for conn in conns:
             await conn.close()
+
+
+def _paced_slices(events: List[Tuple[float, str, bytes]], seconds: float,
+                  count: int) -> List[List[Tuple[float, str, bytes]]]:
+    """The paced schedule of ``seconds`` cut into ``count`` equal spans.
+
+    Each slice's offsets restart at 0, so the spacing inside a slice is
+    the schedule's; a capacity burst runs between slices.
+    """
+    span = seconds / count
+    slices: List[List[Tuple[float, str, bytes]]] = [[] for _ in range(count)]
+    for offset, group, body in events:
+        part = min(int(offset // span), count - 1)
+        slices[part].append((offset - part * span, group, body))
+    return slices
 
 
 def _measure(workload: Workload, schedule: Schedule, server: Server,
@@ -235,12 +270,14 @@ def _check(workload: Workload, result: Pass, seed: int, graph: Any,
     from repro.graph.digraph import DiGraph
 
     problems = list(result.problems)
-    versions: List[List[int]] = []
-    for phase in (result.saturated, result.paced.records):
-        for conn in (0, 1):
-            versions.append([int(json.loads(r.response)["index_version"])
-                             for r in sorted(phase, key=lambda r: r.sent)
-                             if r.conn == conn and r.ok])
+    failed = [r for r in result.records if not r.ok]
+    if failed:
+        problems.append(f"{len(failed)} requests failed in the window, first: "
+                        f"{failed[0].group} status {failed[0].status} "
+                        f"{failed[0].error or failed[0].response[:200]!r}")
+    ordered = sorted(result.records, key=lambda r: r.sent)
+    versions = [[int(json.loads(r.response)["index_version"])
+                 for r in ordered if r.conn == conn and r.ok] for conn in (0, 1)]
     if not verify.versions_monotonic(versions):
         problems.append("index_version decreased on a connection")
 
@@ -291,7 +328,7 @@ def _end_to_end(result: Pass, setup_s: float, index_build_s: float
     return {
         "setup_s": setup_s,
         "index_build_s": index_build_s,
-        "query_p50_ms": percentile([r.latency_ms for r in paced], 0.50),
+        "query_p50_ms": percentile([r.latency_ms for r in paced if r.ok], 0.50),
         "slo_ok_ratio": sum(1 for r in paced if r.ok and r.latency_ms <= SLO_MS)
         / len(paced),
         "capacity_qps": result.capacity_qps,
@@ -390,7 +427,7 @@ def _run(args: argparse.Namespace, workload: Workload, src: str, work: str) -> i
     schedule = build_schedule(workload, args.seed, graph,
                               args.seconds - CAPACITY_SECONDS,
                               saturated_count=int(CAPACITY_SECONDS * 400),
-                              warmup_count=WARMUP_CHUNK * WARMUP_CHUNKS)
+                              warmup_count=WARMUP_REQUESTS)
 
     def build_index() -> Tuple[float, Any]:
         began = time.perf_counter()
@@ -427,10 +464,13 @@ def _run(args: argparse.Namespace, workload: Workload, src: str, work: str) -> i
         f"{graph.n_edges} edges; schedule sha256 {schedule_digest(schedule)}",
         f"set-up: {len(setups)} x (index build + server start), median "
         f"{statistics.median(setups):.3f}s, + warm-up {untraced.warmup_s:.3f}s "
-        f"({untraced.warmup_requests} requests)",
+        f"({untraced.warmup_requests} requests; cache full, then hit ratio "
+        f"{untraced.warmup_hit_ratio:.3f} on the last {WARMUP_REQUESTS})",
         f"window {untraced.window[1] - untraced.window[0]:.1f}s: "
-        f"{len(untraced.saturated)} closed-loop queries in {CAPACITY_SECONDS:g}s, "
-        f"then {len(untraced.paced_group('q'))} queries paced at "
+        f"{len(untraced.saturated)} closed-loop queries in {CAPACITY_BURSTS} "
+        f"bursts of {CAPACITY_SECONDS / CAPACITY_BURSTS:g}s ("
+        + ", ".join(f"{qps:.1f}" for qps in untraced.burst_qps)
+        + f" q/s) around {len(untraced.paced_group('q'))} queries paced at "
         f"{workload.query_rate:g}/s and {len(paced_updates)} updates; failed "
         f"{sum(1 for r in records if not r.ok)}/{len(records)}",
         f"client.gen_lag_p99_ms {lag_p99:.3f}"

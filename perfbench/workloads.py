@@ -29,6 +29,11 @@ ZIPF_EXPONENT = 1.1
 #: Probe queries checked after an ``update_mix`` window.
 PROBES = 60
 
+#: Cache fill during warm-up: at most this many pair queries, one per
+#: request like the timed traffic (about 1,600 Zipf or 1,200 uniform pairs
+#: fill the cache).
+FILL_PAIRS = 4000
+
 #: Each ``update_mix`` update carries this many edges, with heads drawn
 #: from this many hottest query nodes.
 EDGES_PER_UPDATE = 3
@@ -85,10 +90,15 @@ class Schedule:
     #: Paced phase: (due offset in seconds, connection group, body bytes).
     #: Group "q" is a query, "u" an update.
     paced: List[Tuple[float, str, bytes]]
+    #: Length of the paced phase in seconds.
+    paced_seconds: float
     #: Closed-loop capacity phase: query bodies, consumed in order.
     saturated: List[bytes]
     #: Warm-up stream: query bodies replayed before timing.
     warmup: List[bytes]
+    #: Cache fill: pair queries whose endpoints are drawn like the
+    #: workload's, sent before the warm-up stream.
+    fill: List[bytes]
     #: Update bodies applied during set-up (update_mix only).
     setup_updates: List[bytes] = field(default_factory=list)
     #: Queries sent after the window to check the final version (update_mix).
@@ -171,10 +181,13 @@ def build_schedule(workload: Workload, seed: int, graph, paced_seconds: float,
     paced = [(due, "q", query_body(line)) for due, line in zip(dues, lines)]
     schedule = Schedule(
         paced=paced,
+        paced_seconds=paced_seconds,
         saturated=[query_body(line) for line in query_lines(
             workload, sampler, _rng(seed, name, "saturated"), saturated_count)],
         warmup=[query_body(line) for line in query_lines(
             workload, sampler, _rng(seed, name, "warmup"), warmup_count)],
+        fill=[query_body(f"pair {a} {b}") for a, b in sampler.draw(
+            _rng(seed, name, "fill"), 2 * FILL_PAIRS).reshape(-1, 2)],
     )
     if workload.update_interval is None:
         return schedule
@@ -208,7 +221,7 @@ def build_schedule(workload: Workload, seed: int, graph, paced_seconds: float,
 def schedule_digest(schedule: Schedule) -> str:
     """SHA-256 over every request the run sends, in order, with due times."""
     digest = hashlib.sha256()
-    for body in schedule.setup_updates + schedule.warmup:
+    for body in schedule.setup_updates + schedule.fill + schedule.warmup:
         digest.update(body + b"\n")
     for due, group, body in schedule.paced:
         digest.update(f"{due!r} {group} ".encode() + body + b"\n")
