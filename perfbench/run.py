@@ -2,7 +2,7 @@
 
 Run from the repository root::
 
-    python3 perfbench/run.py --workload read_hot --seed 1 --seconds 18 --trace 0
+    python3 perfbench/run.py --workload read_cold --seed 1 --seconds 30 --trace 0
 
 Builds the inputs from ``--seed`` (graph, index, request schedule), drives
 ``python -m repro serve-http`` over real HTTP from one asyncio process,
@@ -41,13 +41,17 @@ from workloads import (  # noqa: E402
     _rng, build_schedule, schedule_digest,
 )
 
-#: Set-ups per untraced run; ``setup_s`` and ``index_build_s`` use medians.
+#: Set-ups (index build, then server start) per untraced run, and index
+#: builds after its window; ``setup_s`` and ``index_build_cpu_s`` use medians.
+#: The late builds run about 40 s after the first ones, so the median
+#: samples two spells of a host whose speed drifts.
 SETUP_REPEATS = 3
+LATE_BUILDS = 3
 #: Closed-loop capacity time per window, split into CAPACITY_BURSTS equal
 #: bursts: one at the start, one after each slice of the paced phase.
 #: ``capacity_qps`` is the median burst, so one slow spell moves it less.
-CAPACITY_SECONDS = 6.0
-CAPACITY_BURSTS = 3
+CAPACITY_SECONDS = 10.0
+CAPACITY_BURSTS = 5
 #: Read answers checked per pass (a seeded sample of the window's answers).
 VERIFY_SAMPLE = 300
 #: Warm-up requests of the workload's own stream, after the cache fill.
@@ -85,6 +89,8 @@ class Pass:
     setup_versions: List[int] = field(default_factory=list)
     saturated: List[loadgen.Record] = field(default_factory=list)
     burst_qps: List[float] = field(default_factory=list)
+    #: Server CPU milliseconds per query answered, one per capacity burst.
+    burst_cpu_ms: List[float] = field(default_factory=list)
     paced: Optional[loadgen.PacedResult] = None
     window: Tuple[float, float] = (0.0, 0.0)
     stats: Dict[str, float] = field(default_factory=dict)
@@ -187,10 +193,14 @@ async def _drive(workload: Workload, schedule: Schedule, server: Server,
         slices = _paced_slices(schedule.paced, schedule.paced_seconds,
                                CAPACITY_BURSTS - 1)
         for burst in range(CAPACITY_BURSTS):
+            burst_cpu = server.cpu_seconds()
             records, elapsed = await loadgen.run_closed(
                 conns, saturated, CAPACITY_SECONDS / CAPACITY_BURSTS)
+            answered = sum(1 for r in records if r.ok)
+            result.burst_cpu_ms.append(
+                (server.cpu_seconds() - burst_cpu) * 1e3 / max(answered, 1))
             result.saturated += records
-            result.burst_qps.append(sum(1 for r in records if r.ok) / elapsed)
+            result.burst_qps.append(answered / elapsed)
             if burst < len(slices):
                 # Reads share both connections; update_mix keeps one for updates.
                 paced = await loadgen.run_paced(
@@ -321,19 +331,21 @@ def _check(workload: Workload, result: Pass, seed: int, graph: Any,
     return problems
 
 
-def _end_to_end(result: Pass, setup_s: float, index_build_s: float
+def _end_to_end(result: Pass, setup_s: float, index_build_cpu_s: float
                 ) -> Dict[str, float]:
+    """The gated metrics, plus the wall-clock ones printed beside them."""
     paced = result.paced_group("q")
     answered = sum(1 for r in result.records if r.group == "q" and r.ok)
     return {
         "setup_s": setup_s,
-        "index_build_s": index_build_s,
+        "index_build_cpu_s": index_build_cpu_s,
         "query_p50_ms": percentile([r.latency_ms for r in paced if r.ok], 0.50),
         "slo_ok_ratio": sum(1 for r in paced if r.ok and r.latency_ms <= SLO_MS)
         / len(paced),
         "capacity_qps": result.capacity_qps,
         "peak_rss_mb": result.peak_rss_mb,
-        "cpu_ms_per_query": result.cpu_s * 1e3 / max(answered, 1),
+        "cpu_ms_per_query": statistics.median(result.burst_cpu_ms),
+        "window_cpu_ms_per_query": result.cpu_s * 1e3 / max(answered, 1),
     }
 
 
@@ -429,32 +441,38 @@ def _run(args: argparse.Namespace, workload: Workload, src: str, work: str) -> i
                               saturated_count=int(CAPACITY_SECONDS * 400),
                               warmup_count=WARMUP_REQUESTS)
 
-    def build_index() -> Tuple[float, Any]:
-        began = time.perf_counter()
+    def build_index() -> Tuple[float, float, Any]:
+        """(wall seconds, CPU seconds of this process, index) of one build."""
+        began, cpu_began = time.perf_counter(), time.process_time()
         index = CloudWalker(graph, SimRankParams.paper_defaults()).build_index()
         index.save(index_path)
-        return time.perf_counter() - began, index
+        return (time.perf_counter() - began, time.process_time() - cpu_began,
+                index)
 
     problems: List[str] = []
-    builds: List[float] = []
-    setups: List[float] = []
+    builds: List[Tuple[float, float]] = []
+    starts: List[float] = []
     server: Optional[Server] = None
-    for repeat in range(1 if args.trace else SETUP_REPEATS):
-        build_s, index = build_index()
-        server = Server(["-m", "repro", *cli], env, log_path)
-        builds.append(build_s)
-        setups.append(build_s + server.start())
-        if repeat < SETUP_REPEATS - 1 and not args.trace:
+    for _ in range(1 if args.trace else SETUP_REPEATS):
+        if server is not None:
             graceful, message = server.stop()
             if not graceful:
                 problems.append(f"set-up server shutdown: {message}")
+        wall_s, cpu_s, index = build_index()
+        builds.append((wall_s, cpu_s))
+        server = Server(["-m", "repro", *cli], env, log_path)
+        starts.append(server.start())
 
     reference: Dict[str, Any] = {}
     untraced = _measure(workload, schedule, server, args.seconds)
     problems += _check(workload, untraced, args.seed, graph, index_path,
                        schedule, reference)
-    setup_s = statistics.median(setups) + untraced.warmup_s
-    metrics = _end_to_end(untraced, setup_s, statistics.median(builds))
+    if not args.trace:
+        builds += [build_index()[:2] for _ in range(LATE_BUILDS)]
+    build_s = statistics.median(wall for wall, _cpu in builds)
+    setup_s = build_s + statistics.median(starts) + untraced.warmup_s
+    metrics = _end_to_end(untraced, setup_s,
+                          statistics.median(cpu for _wall, cpu in builds))
 
     records = untraced.records
     lag_p99 = percentile(untraced.paced.gen_lag_ms, 0.99)
@@ -462,8 +480,10 @@ def _run(args: argparse.Namespace, workload: Workload, src: str, work: str) -> i
     lines = [
         f"workload {workload.name} seed {args.seed}: graph {graph.n_nodes} nodes / "
         f"{graph.n_edges} edges; schedule sha256 {schedule_digest(schedule)}",
-        f"set-up: {len(setups)} x (index build + server start), median "
-        f"{statistics.median(setups):.3f}s, + warm-up {untraced.warmup_s:.3f}s "
+        f"set-up: median of {len(builds)} index builds ({len(starts)} before, "
+        f"{len(builds) - len(starts)} after the window) "
+        f"{build_s:.3f}s + median of {len(starts)} server starts "
+        f"{statistics.median(starts):.3f}s + warm-up {untraced.warmup_s:.3f}s "
         f"({untraced.warmup_requests} requests; cache full, then hit ratio "
         f"{untraced.warmup_hit_ratio:.3f} on the last {WARMUP_REQUESTS})",
         f"window {untraced.window[1] - untraced.window[0]:.1f}s: "
@@ -478,9 +498,13 @@ def _run(args: argparse.Namespace, workload: Workload, src: str, work: str) -> i
         + f"; host CPU steal over the window {untraced.steal_share:.1%}",
     ]
     paced = [r.latency_ms for r in untraced.paced_group("q")]
-    lines.append(f"reported, not gated: query_p95_ms {percentile(paced, 0.95):.3f}, "
+    lines.append(f"reported, not gated: query_p50_ms {metrics['query_p50_ms']:.3f}, "
+                 f"query_p95_ms {percentile(paced, 0.95):.3f}, "
                  f"query_p99_ms {percentile(paced, 0.99):.3f} "
-                 f"({len(paced)} paced queries)")
+                 f"({len(paced)} paced queries); capacity_qps "
+                 f"{metrics['capacity_qps']:.3f}; window_cpu_ms_per_query "
+                 f"{metrics['window_cpu_ms_per_query']:.3f}; index build wall "
+                 f"{build_s:.4f} s")
     if paced_updates:
         lines.append(f"update_p50_ms {_update_p50_ms(untraced):.1f} (latencies ms: "
                      + " ".join(f"{r.latency_ms:.0f}" for r in paced_updates) + ")")
@@ -494,7 +518,7 @@ def _run(args: argparse.Namespace, workload: Workload, src: str, work: str) -> i
         records += traced.records
         problems += _check(workload, traced, args.seed, graph, index_path,
                            schedule, reference)
-        traced_metrics = _end_to_end(traced, setup_s, metrics["index_build_s"])
+        traced_metrics = _end_to_end(traced, setup_s, metrics["index_build_cpu_s"])
         report = _layers(traced, spans_path, index, metrics, traced_metrics, untraced)
         units = layer_units
         window = traced.window

@@ -57,17 +57,9 @@ class Workload:
 
 
 WORKLOADS: Dict[str, Workload] = {
-    "read_hot": Workload(
-        name="read_hot",
-        server_flags=(),
-        mix=(("topk", 0.70), ("pair", 0.25), ("source", 0.05)),
-        popularity="zipf",
-        query_rate=36.0,
-    ),
     "read_cold": Workload(
         name="read_cold",
-        server_flags=("--shards", "2", "--serve-backend", "threads",
-                      "--serve-workers", "2"),
+        server_flags=("--shards", "2", "--serve-backend", "serial"),
         mix=(("pair", 0.80), ("topk", 0.20)),
         popularity="uniform",
         query_rate=30.0,
