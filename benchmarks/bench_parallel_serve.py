@@ -1,8 +1,8 @@
 """Parallel scatter-gather serving — critical path vs the sequential scatter.
 
 The sharded service resolves a query batch by scattering one walk-simulation
-task per touched shard (plus one ranking task per shard for top-k) through a
-persistent executor backend (``ServiceParams.serve_backend``).  Those tasks
+task per touched shard through a persistent executor backend
+(``ServiceParams.serve_backend``).  Those tasks
 share nothing until the gather — every source consumes its own ``(seed,
 source)`` random stream — so the scatter is embarrassingly parallel and the
 batch's wall-clock on a ``W``-worker deployment is the **critical path**

@@ -1,24 +1,23 @@
 """Scatter backends — thread vs process pools across worker counts.
 
-The zero-copy serving work (`bench_zero_copy_serve.py`) proved that a
-resident working set collapses per-batch scatter payloads; this benchmark
-adds the missing multi-core axis: with the graph, linear system, and
-owned-node arrays all pool-resident, how do the ``threads`` and
-``processes`` serve backends compare as workers scale?
+With the served graph pool-resident (scatter tasks ship a handle plus
+source ids), how do the ``threads`` and ``processes`` serve backends
+compare as workers scale?
 
 For every ``(backend, workers)`` configuration in the sweep the same
 pair-heavy batch is answered and two quantities recorded:
 
 ``payload_bytes_per_task``
-    Mean pickled bytes per scatter task (simulation *and* ranking tasks),
-    from the process backend's payload accounting.  Thread tasks cross no
-    process boundary, so their payload is identically zero; resident
-    process tasks ship only handles plus scalars.
+    Mean pickled bytes per walk-simulation scatter task, from the process
+    backend's payload accounting.  Thread tasks cross no process boundary,
+    so their payload is identically zero; resident process tasks ship only
+    a handle plus their source ids.
 ``critical_path_seconds``
     The batch's wall-clock on a ``W``-worker deployment: longest-
     processing-time-first makespan of the sequential baseline's per-shard
-    task seconds (``last_scatter_seconds`` + ``last_rank_seconds``) plus
-    the batch's serial share — the simulated-strong-scaling accounting of
+    scatter task seconds (``last_scatter_seconds``) plus the batch's
+    serial share, which includes top-k ranking (it runs in the parent,
+    not as a task) — the simulated-strong-scaling accounting of
     ``bench_parallel_serve.py``.  The *sequential* run's timings feed the
     makespan for every configuration because this host is pinned to one
     core: per-task wall-clocks measured under a concurrent pool are
@@ -26,20 +25,14 @@ pair-heavy batch is answered and two quantities recorded:
     reported per configuration alongside.
 
 A ``workers=0`` row records the sequential (serial-backend) scatter as the
-baseline.  A trailing ``kernels`` section reports the optional numba kernel
-tier: whether numba is importable here, whether the kernel twins answer
-bitwise-identically to the Python oracles, and (only when numba is
-available) the jitted speedup on the pair-combine inner loop.
+baseline.
 
 Gates:
 
 * every configuration's answers must be bitwise-identical to the
   sequential sharded scatter and to the single-shard ``QueryService``;
 * for each backend, the critical-path speedup at 4 workers must be >= 2x
-  over the sequential scatter;
-* the kernel twins must match their oracles bitwise; when numba is
-  importable the jitted pair-combine must additionally be >= 1.5x faster
-  than the Python oracle (skipped, not failed, when numba is absent).
+  over the sequential scatter.
 
 Runs standalone too::
 
@@ -62,9 +55,6 @@ N_SOURCES = 96
 N_TOPK = 6
 TOP_K = 10
 MIN_SPEEDUP_AT_4 = 2.0
-MIN_KERNEL_SPEEDUP = 1.5
-KERNEL_BENCH_NODES = 400
-KERNEL_BENCH_REPEATS = 5
 SEED = 53
 
 
@@ -124,8 +114,7 @@ def _measure_config(graph, index, queries, backend, workers):
 
     Returns ``(answers, measured_seconds, payload_bytes, task_count)``.
     The warm-up batch forks/marks the pool and registers residency; the
-    measured batch samples the process backend's per-run payload lists so
-    ranking *and* simulation tasks are both counted.
+    measured batch samples the process backend's per-run payload lists.
     """
     with _service(graph, index, backend, workers) as service:
         service.run_batch(queries)  # warm-up: fork pool, register residency
@@ -141,45 +130,6 @@ def _measure_config(graph, index, queries, backend, workers):
         answers = service.run_batch(queries)
         measured = time.perf_counter() - start
     return answers, measured, sum(sizes), len(sizes)
-
-
-def _kernel_section():
-    """Identity (always) and jitted speedup (numba only) of the kernel tier."""
-    from repro.core import kernels, montecarlo
-    from repro.graph import generators
-
-    graph = generators.erdos_renyi_graph(KERNEL_BENCH_NODES,
-                                         KERNEL_BENCH_NODES * 5, seed=SEED)
-    params = _params()
-    sources = list(range(0, KERNEL_BENCH_NODES, 7))
-    distributions = montecarlo.estimate_walk_distributions_batch(
-        graph, sources, params, walkers=200)
-    weights = np.linspace(0.5, 1.5, graph.n_nodes)
-    pairs = list(zip(sources[0::2], sources[1::2]))
-
-    def _combine_all(combine):
-        return [combine(distributions[a], distributions[b], weights,
-                        params.c, params.walk_steps) for a, b in pairs]
-
-    oracle_seconds = []
-    kernel_seconds = []
-    for _ in range(KERNEL_BENCH_REPEATS):
-        start = time.perf_counter()
-        oracle = _combine_all(montecarlo.combine_pair_distributions)
-        oracle_seconds.append(time.perf_counter() - start)
-        start = time.perf_counter()
-        twin = _combine_all(kernels.combine_pair)
-        kernel_seconds.append(time.perf_counter() - start)
-    identical = oracle == twin
-    speedup = (min(oracle_seconds) / max(min(kernel_seconds), 1e-9)
-               if kernels.NUMBA_AVAILABLE else None)
-    return {
-        "numba_available": kernels.NUMBA_AVAILABLE,
-        "bitwise_identical": identical,
-        "combine_pair_speedup": (round(speedup, 2)
-                                 if speedup is not None else None),
-        "n_pairs": len(pairs),
-    }
 
 
 def scatter_backends_experiment():
@@ -210,7 +160,6 @@ def scatter_backends_experiment():
         sequential_seconds = time.perf_counter() - start
         baseline_tasks = [
             sequential.last_scatter_seconds.get(shard, 0.0)
-            + sequential.last_rank_seconds.get(shard, 0.0)
             for shard in range(NUM_SHARDS)
         ]
     serial_share = max(sequential_seconds - sum(baseline_tasks), 0.0)
@@ -247,11 +196,6 @@ def scatter_backends_experiment():
                                            if tasks else 0),
                 "bitwise_identical": identical,
             })
-    kernel_section = _kernel_section()
-    kernels_pass = kernel_section["bitwise_identical"] and (
-        not kernel_section["numba_available"]
-        or kernel_section["combine_pair_speedup"] >= MIN_KERNEL_SPEEDUP
-    )
     speedup_at_4 = {backend: round(speedups[backend].get(4, 0.0), 2)
                     for backend in BACKENDS}
     return {
@@ -260,11 +204,8 @@ def scatter_backends_experiment():
         "min_speedup_at_4": min(speedup_at_4.values()),
         "gate_passed": bool(
             all(value >= MIN_SPEEDUP_AT_4 for value in speedup_at_4.values())
-            and kernels_pass
         ),
         "all_identical": all_identical,
-        "kernels": kernel_section,
-        "kernels_pass": kernels_pass,
         "graph_nodes": graph.n_nodes,
         "graph_edges": graph.n_edges,
         "num_shards": NUM_SHARDS,
@@ -293,9 +234,6 @@ def _check_and_render(result) -> str:
             f"critical-path speedup at 4 {backend} workers is only "
             f"{speedup:.2f}x (needs >= {MIN_SPEEDUP_AT_4}x)"
         )
-    assert result["kernels_pass"], (
-        f"kernel tier gate failed: {result['kernels']}"
-    )
     return rendered
 
 
@@ -316,8 +254,5 @@ if __name__ == "__main__":
     rendered = _check_and_render(outcome)
     reporting.save_results("scatter_backends", outcome, rendered)
     print(rendered)
-    kernels = outcome["kernels"]
     print(f"speedup at 4 workers: {outcome['speedup_at_4']}, "
-          f"answers bitwise-identical: {outcome['all_identical']}, "
-          f"numba available: {kernels['numba_available']} "
-          f"(kernel twins identical: {kernels['bitwise_identical']})")
+          f"answers bitwise-identical: {outcome['all_identical']}")

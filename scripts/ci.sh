@@ -1,12 +1,11 @@
 #!/usr/bin/env bash
 # CI entry point: tier-1 suite (with the coverage gate), benchmark smoke,
-# docs reference check, trace-replay smoke, HTTP serving smoke,
-# update-routing smoke, kernel-identity smoke.
+# docs reference check, trace-replay smoke, HTTP serving smoke.
 #
 # scripts/tier1.py degrades gracefully when pytest-cov is absent so a bare
 # checkout can still run the suite; CI must NOT take that degraded path.
 # This script first makes sure the dev tooling (dev-requirements.txt,
-# which pins pytest-cov) is installed, then runs the seven checks that
+# which pins pytest-cov) is installed, then runs the five checks that
 # gate a PR:
 #
 #   1. scripts/tier1.py            - full test suite + 80% coverage floor
@@ -20,17 +19,9 @@
 #                                    concurrent load, SIGTERM, graceful
 #                                    shutdown, no leaked /dev/shm segments
 #                                    (non-zero exit on a leak)
-#   6. scripts/update_routing_smoke.py - tiny graph through both
-#                                    reachability modes (bfs vs interval):
-#                                    bitwise-equal systems/diagonals and
-#                                    identical affected/eviction sets per
-#                                    batch
-#   7. scripts/kernel_smoke.py     - kernel twins vs Python oracles, bitwise
-#                                    (runs jitted when numba is importable,
-#                                    plain-Python otherwise — skip, not fail)
 #
 # Usage:
-#   bash scripts/ci.sh            # all seven stages
+#   bash scripts/ci.sh            # all five stages
 #   CI_SKIP_INSTALL=1 bash scripts/ci.sh   # offline: use whatever is installed
 set -euo pipefail
 
@@ -54,25 +45,19 @@ if ! "${PYTHON}" -c "import pytest_cov" >/dev/null 2>&1; then
          "coverage gate" >&2
 fi
 
-echo "ci: [1/7] tier-1 suite (+ coverage gate when available)"
+echo "ci: [1/5] tier-1 suite (+ coverage gate when available)"
 "${PYTHON}" scripts/tier1.py
 
-echo "ci: [2/7] benchmark smoke"
+echo "ci: [2/5] benchmark smoke"
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" "${PYTHON}" scripts/smoke_benchmarks.py
 
-echo "ci: [3/7] docs reference check"
+echo "ci: [3/5] docs reference check"
 "${PYTHON}" scripts/check_docs.py
 
-echo "ci: [4/7] trace-replay smoke (deterministic exact + approximate CLI replay)"
+echo "ci: [4/5] trace-replay smoke (deterministic exact + approximate CLI replay)"
 "${PYTHON}" scripts/replay_smoke.py
 
-echo "ci: [5/7] HTTP serving smoke (graceful shutdown + shm leak check)"
+echo "ci: [5/5] HTTP serving smoke (graceful shutdown + shm leak check)"
 "${PYTHON}" scripts/http_smoke.py
-
-echo "ci: [6/7] update-routing smoke (both reachability modes, bitwise compare)"
-"${PYTHON}" scripts/update_routing_smoke.py
-
-echo "ci: [7/7] kernel-identity smoke (jitted twins vs Python oracles)"
-"${PYTHON}" scripts/kernel_smoke.py
 
 echo "ci: all stages passed"

@@ -102,14 +102,6 @@ def _add_sharding_arguments(parser: argparse.ArgumentParser) -> None:
                         default=defaults.max_workers,
                         help="worker bound for threads/processes backends "
                              "(default: %(default)s)")
-    parser.add_argument("--resident-graph", dest="resident_graph",
-                        action=argparse.BooleanOptionalAction,
-                        default=defaults.resident_graph,
-                        help="register the graph as a pool-resident object "
-                             "so 'processes' scatter tasks ship a handle "
-                             "instead of the graph; --no-resident-graph "
-                             "restores ship-per-task (answers identical "
-                             "either way) (default: %(default)s)")
 
 
 def _sharding_from_args(args: argparse.Namespace) -> ShardingParams:
@@ -119,7 +111,6 @@ def _sharding_from_args(args: argparse.Namespace) -> ShardingParams:
         strategy=args.shard_strategy,
         backend=args.shard_backend,
         max_workers=args.shard_workers,
-        resident_graph=getattr(args, "resident_graph", True),
     )
 
 
@@ -322,15 +313,6 @@ def _add_service_arguments(parser: argparse.ArgumentParser) -> None:
                         default=defaults.approx_steps,
                         help="explicit approximate-mode walk steps "
                              "(needs --accuracy-budget)")
-    parser.add_argument("--kernels", dest="kernels",
-                        default=defaults.kernels,
-                        choices=["python", "numba"],
-                        help="inner-loop kernel tier; 'numba' jit-compiles "
-                             "the meeting-probability and reachability hot "
-                             "loops when numba is importable and falls back "
-                             "to the python oracles (bitwise-identical "
-                             "answers) when it is not "
-                             "(default: %(default)s)")
 
 
 def _make_service(args: argparse.Namespace):
@@ -340,11 +322,9 @@ def _make_service(args: argparse.Namespace):
     service_params = ServiceParams(
         cache_capacity=args.cache_capacity, max_batch_size=args.max_batch_size,
         serve_backend=args.serve_backend, serve_workers=args.serve_workers,
-        resident_graph=getattr(args, "resident_graph", True),
         accuracy_budget=getattr(args, "accuracy_budget", None),
         approx_walkers=getattr(args, "approx_walkers", None),
         approx_steps=getattr(args, "approx_steps", None),
-        kernels=getattr(args, "kernels", "python"),
     )
     # Parameters default to the ones persisted in the index so a cold-started
     # service answers exactly like the process that built the index.

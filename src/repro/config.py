@@ -156,25 +156,15 @@ class ServiceParams:
         ``k`` used by top-k queries that do not specify one.
     serve_backend:
         Executor backend the sharded service scatters *query-time* work
-        through (per-shard walk simulation and top-k ranking):
-        ``"serial"``, ``"threads"`` or ``"processes"`` (see
-        :mod:`repro.engine.executor`).  Like the build-time
-        ``ShardingParams.backend``, it changes only wall-clock, never
-        answers.  Ignored by the single-shard service.
+        through (per-shard walk simulation; the served graph is registered
+        on it as a resident object): ``"serial"``, ``"threads"`` or
+        ``"processes"`` (see :mod:`repro.engine.executor`).  Like the
+        build-time ``ShardingParams.backend``, it changes only wall-clock,
+        never answers.  Ignored by the single-shard service.
     serve_workers:
         Worker bound for the ``threads`` / ``processes`` serve backends.
         The pool is persistent (spun up once, reused per batch); call
         ``ShardedQueryService.close`` to release it.
-    resident_graph:
-        Register the served graph as a resident object on the serve
-        backend (see :meth:`repro.engine.executor.ExecutorBackend.
-        ensure_resident`): process workers materialise it once per epoch
-        from shared memory and scatter tasks ship only a handle, keeping
-        per-batch payloads O(sources) instead of O(graph).  A no-op for
-        the ``serial``/``threads`` backends (tasks already share the
-        owner's memory) and for the single-shard service.  Disable to
-        ship the graph inside every task (the pre-residency behaviour);
-        answers are bitwise-identical either way.
     http_port:
         Default TCP port of the HTTP serving tier
         (:mod:`repro.service.http`); ``0`` asks the OS for an ephemeral
@@ -213,14 +203,6 @@ class ServiceParams:
         Explicit walk-step count of the approximate mode; requires
         ``accuracy_budget``.  ``None`` keeps the exact ``walk_steps``
         unless calibration chooses a shorter walk.
-    kernels:
-        Which implementation tier runs the core inner loops (the
-        pair-combine step dot, the self-meeting accumulation, and the
-        interval-reachability Dijkstra): ``"python"`` (the NumPy oracles)
-        or ``"numba"`` (jitted twins, bitwise-identical by construction —
-        see :mod:`repro.core.kernels`).  ``"numba"`` on an interpreter
-        without numba installed is not an error: execution falls back to
-        the oracles, so the flag is safe to bake into deployment configs.
     """
 
     cache_capacity: int = 1024
@@ -228,19 +210,14 @@ class ServiceParams:
     default_top_k: int = 10
     serve_backend: str = "serial"
     serve_workers: int = 4
-    resident_graph: bool = True
     http_port: int = 8080
     coalesce_window: float = 0.002
     max_in_flight: int = 64
     accuracy_budget: Optional[float] = None
     approx_walkers: Optional[int] = None
     approx_steps: Optional[int] = None
-    kernels: str = "python"
 
     _VALID_SERVE_BACKENDS = ("serial", "threads", "processes")
-    # Kept in sync with repro.core.kernels.KERNEL_MODES (hardcoded here to
-    # keep config importable before the core package).
-    _VALID_KERNELS = ("python", "numba")
 
     def __post_init__(self) -> None:
         if self.cache_capacity < 0:
@@ -300,11 +277,6 @@ class ServiceParams:
                 raise ConfigurationError(
                     f"approx_steps must be >= 1, got {self.approx_steps}"
                 )
-        if self.kernels not in self._VALID_KERNELS:
-            raise ConfigurationError(
-                f"kernels must be one of {self._VALID_KERNELS}, "
-                f"got {self.kernels!r}"
-            )
 
     def with_(self, **changes: Any) -> "ServiceParams":
         """Return a copy with the given fields replaced."""
@@ -318,14 +290,12 @@ class ServiceParams:
             "default_top_k": self.default_top_k,
             "serve_backend": self.serve_backend,
             "serve_workers": self.serve_workers,
-            "resident_graph": self.resident_graph,
             "http_port": self.http_port,
             "coalesce_window": self.coalesce_window,
             "max_in_flight": self.max_in_flight,
             "accuracy_budget": self.accuracy_budget,
             "approx_walkers": self.approx_walkers,
             "approx_steps": self.approx_steps,
-            "kernels": self.kernels,
         }
 
     @classmethod
@@ -366,13 +336,6 @@ class UpdateParams:
         Re-estimate affected rows from exact walk distributions instead of
         Monte-Carlo.  Only feasible for small graphs; used by tests that
         want updates exactly equal to exact rebuilds.
-    reachability:
-        How update routing computes "which sources does this edge batch
-        touch" (and which cache entries die): ``"interval"`` routes through
-        the pre-order window labels of
-        :mod:`repro.core.reachability`; ``"bfs"`` keeps the per-level
-        frontier sweep as the bitwise-identity oracle.  Both return the
-        identical affected set — the switch trades routing cost only.
     """
 
     max_pending_edges: int = 10_000
@@ -381,7 +344,6 @@ class UpdateParams:
     snapshot_retain: int = 5
     snapshot_dir: Optional[str] = None
     exact: bool = False
-    reachability: str = "interval"
 
     def __post_init__(self) -> None:
         if self.max_pending_edges < 1:
@@ -404,11 +366,6 @@ class UpdateParams:
             raise ConfigurationError(
                 "snapshot_every > 0 requires snapshot_dir to be set"
             )
-        if self.reachability not in ("bfs", "interval"):
-            raise ConfigurationError(
-                f"reachability must be 'bfs' or 'interval', "
-                f"got {self.reachability!r}"
-            )
 
     def with_(self, **changes: Any) -> "UpdateParams":
         """Return a copy with the given fields replaced."""
@@ -423,7 +380,6 @@ class UpdateParams:
             "snapshot_retain": self.snapshot_retain,
             "snapshot_dir": self.snapshot_dir,
             "exact": self.exact,
-            "reachability": self.reachability,
         }
 
     @classmethod
@@ -456,21 +412,12 @@ class ShardingParams:
         produces a bitwise-identical index.
     max_workers:
         Worker bound for the ``threads`` / ``processes`` backends.
-    resident_graph:
-        Register the graph as a resident object on the build backend, so
-        per-shard row-estimation tasks ship a handle instead of pickling
-        the whole graph into every task (``processes`` backend; a no-op
-        for ``serial``/``threads``).  Live updates re-register the
-        post-update graph — a new residency epoch — before fanning out.
-        Disable to restore ship-per-task behaviour; the built index is
-        bitwise-identical either way.
     """
 
     num_shards: int = 1
     strategy: str = "hash"
     backend: str = "serial"
     max_workers: int = 4
-    resident_graph: bool = True
 
     _VALID_STRATEGIES = ("hash", "contiguous", "partitioner")
     _VALID_BACKENDS = ("serial", "threads", "processes")
@@ -506,7 +453,6 @@ class ShardingParams:
             "strategy": self.strategy,
             "backend": self.backend,
             "max_workers": self.max_workers,
-            "resident_graph": self.resident_graph,
         }
 
     @classmethod

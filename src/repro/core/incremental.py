@@ -33,7 +33,7 @@ import numpy as np
 from scipy import sparse
 
 from repro.config import SimRankParams
-from repro.core import linear_system, reachability, walks
+from repro.core import linear_system, walks
 from repro.core.index import BuildInfo, DiagonalIndex
 from repro.core.reachability import ReachabilityIndex
 from repro.core.jacobi import jacobi_solve
@@ -41,22 +41,17 @@ from repro.errors import ConfigurationError
 from repro.graph.digraph import DiGraph
 
 
-def affected_sources(graph: DiGraph, changed_heads: Iterable[int], steps: int,
-                     mode: str = "bfs") -> Set[int]:
+def affected_sources(graph: DiGraph, changed_heads: Iterable[int],
+                     steps: int) -> Set[int]:
     """Nodes whose rows ``a_i`` may change when the in-links of
     ``changed_heads`` change.
 
     A reverse walk from source ``i`` visits ``v`` within ``T`` steps exactly
     when there is a forward path ``v -> ... -> i`` of length at most ``T``,
     so the affected set is the forward BFS ball of radius ``T`` around the
-    changed heads (including the heads themselves).  ``mode`` selects the
-    routing implementation (``"bfs"`` frontier sweep or ``"interval"``
-    window labels — see :mod:`repro.core.reachability`); both return the
-    identical set, and the walker and the query service's cache
-    invalidation share this entry point so "which rows to re-estimate" and
-    "which cache entries to drop" can never disagree.
+    changed heads (including the heads themselves).
     """
-    return reachability.reachable_set(graph, changed_heads, steps, mode=mode)
+    return walks.forward_reachable_set(graph, changed_heads, steps)
 
 
 class IncrementalCloudWalker:
@@ -82,25 +77,17 @@ class IncrementalCloudWalker:
         Start the Jacobi solve of an update from the previous diagonal
         (faster convergence) instead of the cold-start guess ``1 - c``
         a fresh build uses.  Disable for bitwise reproducibility.
-    reachability:
-        Update-routing mode: ``"interval"`` (default) answers "which rows
-        does this batch touch" from carried pre-order window labels;
-        ``"bfs"`` keeps the frontier-sweep oracle.  The affected sets are
-        identical either way.
     """
 
     def __init__(self, graph: DiGraph, params: Optional[SimRankParams] = None,
                  exact: bool = False, stream_per_source: bool = False,
-                 warm_start: bool = True,
-                 reachability: str = "interval") -> None:
+                 warm_start: bool = True) -> None:
         self.graph = graph
         self.params = params or SimRankParams.paper_defaults()
         self.exact = exact
         self.stream_per_source = stream_per_source
         self.warm_start = warm_start
-        self.reachability = reachability
-        self._routing = ReachabilityIndex(reachability)
-        self._routing.prepare(graph)
+        self._routing = ReachabilityIndex()
         self._system: Optional[sparse.csr_matrix] = None
         self.index: Optional[DiagonalIndex] = None
         self._update_count = 0
@@ -214,8 +201,7 @@ class IncrementalCloudWalker:
             raise ConfigurationError("call build() or attach() before add_edges()")
         if not new_edges:
             return {"affected_rows": 0, "update_seconds": 0.0, "new_nodes": 0,
-                    "affected": frozenset(), "routing_seconds": 0.0,
-                    "reachability": self.reachability}
+                    "affected": frozenset(), "routing_seconds": 0.0}
 
         start = time.perf_counter()
         old_n = self.graph.n_nodes
@@ -287,7 +273,6 @@ class IncrementalCloudWalker:
             "new_nodes": new_n - old_n,
             "update_seconds": time.perf_counter() - start,
             "routing_seconds": routing_seconds,
-            "reachability": self.reachability,
         }
 
     # ------------------------------------------------------------------ #

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.config import SimRankParams
-from repro.core import kernels, walks
+from repro.core import walks
 from repro.graph.digraph import DiGraph
 
 SparseVector = Tuple[np.ndarray, np.ndarray]
@@ -200,8 +200,6 @@ def combine_pair_distributions(
     ascending-node order, summed with the same ``np.sum``, and accumulated
     in the same step order.
     """
-    if kernels.active() == "numba":
-        return kernels.combine_pair(dist_i, dist_j, weights, decay, steps)
     max_support = 0
     for step in range(steps + 1):
         max_support = max(max_support, len(dist_i.per_step[step][0]))
@@ -243,8 +241,6 @@ def self_meeting_column(distributions: WalkDistributions, decay: float) -> Dict[
     accumulation, so the result is bitwise-identical (``np.add.reduceat``
     would not be: its segment reduction associates differently).
     """
-    if kernels.active() == "numba":
-        return kernels.self_meeting(distributions, decay)
     node_chunks: List[np.ndarray] = []
     value_chunks: List[np.ndarray] = []
     factor = 1.0

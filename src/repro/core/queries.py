@@ -117,16 +117,15 @@ def rank_top_k_entries(candidates: np.ndarray, values: np.ndarray,
                        copy: bool = True) -> List[Tuple[int, float]]:
     """Rank explicit ``(candidates, values)`` pairs into a top-``k`` list.
 
-    The payload-light form of :func:`rank_top_k_within`: the caller has
-    already gathered the candidates' scores, so a scatter task ships
-    ``O(candidates)`` floats instead of the full score vector — this is
-    what the sharded service's per-shard ranking tasks close over.  Same
+    The gathered form of :func:`rank_top_k_within`: the caller has
+    already gathered the candidates' scores — the sharded service ranks
+    each shard's owned slice this way.  Same
     canonical order, same result: ``rank_top_k_within(scores, node, part,
     k)`` equals ``rank_top_k_entries(part, scores[part], node, min(k,
     len(scores)))`` exactly.
 
-    ``copy=False`` lets a caller that owns ``values`` (a fresh gather, a
-    task's unpickled payload) skip the defensive copy; the array may then
+    ``copy=False`` lets a caller that owns ``values`` (a fresh gather)
+    skip the defensive copy; the array may then
     be modified in place (the source is masked to ``-inf``).
     """
     candidates = np.asarray(candidates, dtype=np.int64)
@@ -136,36 +135,6 @@ def rank_top_k_entries(candidates: np.ndarray, values: np.ndarray,
     if not include_self:
         values[candidates == node] = -np.inf
     return _select_top_k(candidates, values, k)
-
-
-def propagate_scores(node: int, distributions: montecarlo.WalkDistributions,
-                     transition_t: sparse.csr_matrix, diagonal: np.ndarray,
-                     c: float, walk_steps: int) -> np.ndarray:
-    """Combine walk distributions into single-source scores (stateless form).
-
-    The reverse-Horner recurrence ``r <- P^T r + c^t (x ∘ P^t e_i)``
-    evaluated from ``t = T`` down to 0 — ``T`` sparse matvecs total.  This
-    free-function form exists so the engine
-    (:meth:`QueryEngine.propagate_source`) and the sharded service's
-    payload-free ranking workers (which rebuild ``transition_t`` and
-    ``diagonal`` from resident shared-memory views) run literally the same
-    arithmetic: identical inputs produce bitwise-identical score vectors
-    because it *is* the same code.
-    """
-    n = transition_t.shape[0]
-    decay_powers = c ** np.arange(walk_steps + 1)
-    result = np.zeros(n, dtype=np.float64)
-    for step in range(walk_steps, -1, -1):
-        if step < walk_steps:
-            result = transition_t @ result
-        weighted = decay_powers[step] * (
-            diagonal * distributions.dense(n, step)
-        )
-        result += weighted
-    result[node] = 1.0
-    # Truncation and Monte-Carlo noise can push scores slightly past 1.
-    np.clip(result, 0.0, 1.0, out=result)
-    return result
 
 
 def merge_top_k(partials: Sequence[List[Tuple[int, float]]],
@@ -292,14 +261,23 @@ class QueryEngine:
 
         Uses the reverse-Horner recurrence
         ``r <- P^T r + c^t (x ∘ P^t e_i)`` evaluated from ``t = T`` down to 0,
-        which needs only ``T`` sparse matvecs.  Delegates to the stateless
-        :func:`propagate_scores` so out-of-process callers (the resident
-        scatter workers) share the exact arithmetic.
+        which needs only ``T`` sparse matvecs.
         """
-        return propagate_scores(
-            node, distributions, self.transition_t, self.index.diagonal,
-            self.params.c, self.params.walk_steps,
-        )
+        n = self.transition_t.shape[0]
+        walk_steps = self.params.walk_steps
+        decay_powers = self.params.c ** np.arange(walk_steps + 1)
+        result = np.zeros(n, dtype=np.float64)
+        for step in range(walk_steps, -1, -1):
+            if step < walk_steps:
+                result = self.transition_t @ result
+            weighted = decay_powers[step] * (
+                self.index.diagonal * distributions.dense(n, step)
+            )
+            result += weighted
+        result[node] = 1.0
+        # Truncation and Monte-Carlo noise can push scores slightly past 1.
+        np.clip(result, 0.0, 1.0, out=result)
+        return result
 
     def top_k(self, node: int, k: int = 10, walkers: Optional[int] = None,
               include_self: bool = False) -> List[Tuple[int, float]]:

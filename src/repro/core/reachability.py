@@ -1,528 +1,33 @@
-"""Interval-labeled reachability: update routing without frontier sweeps.
+"""Update routing: the forward ball an edge batch touches.
 
-Every online update needs the same question answered twice: *which sources'
-rows must be re-estimated* (the incremental re-index) and *which cached walk
-distributions die* (cache invalidation).  Both are the forward ball of radius
-``T`` around the inserted edges' heads.  The baseline answer is a per-level
-BFS over the out-CSR (:func:`repro.core.walks.forward_reachable_set`) — a
-full frontier sweep per update batch.
-
-This module replaces the sweep with the XPath-accelerator idea: label a
-spanning forest of the graph with pre-order windows so "everything a node
-dominates" is one contiguous slice, and keep the (typically small) set of
-non-tree edges as a sorted overlay.  A bounded-radius reachability query then
-becomes a Dijkstra over *composite moves*:
-
-- descending inside a labeled subtree costs exactly the depth difference and
-  relaxes a whole pre-order slice ``[pre[u], pre[u] + size[u])`` in one
-  vectorised assignment;
-- crossing a non-tree edge costs one hop, and the overlay is sorted by the
-  tail's pre-order position, so "which overlay edges leave this subtree" is a
-  pair of ``searchsorted`` calls.
-
-Why this is exact (and therefore safe to swap in behind the bitwise-identity
-contract): every path in the graph decomposes into maximal runs of tree edges
-(each run descends within one subtree, cost = depth difference — the window
-encodes it exactly) and single overlay edges (cost 1).  Dijkstra over these
-moves computes true shortest hop counts, so the set ``{v : dist(v) <= T}`` is
-*identical* to the BFS ball — not an approximation of it.
-
-Labeling scheme
----------------
-The forest is deterministic and fully vectorisable: ``parent[v]`` is the
-smallest in-neighbour of ``v`` when that neighbour is ``< v``, else ``v`` is
-a root.  Because a parent id is strictly smaller than its child's, the forest
-is acyclic by construction, one ascending pass assigns pre-order positions
-and depths, and one descending pass accumulates subtree sizes.  The in-CSR
-rows store sources in ascending order (``DiGraph`` sorts edges
-lexicographically before building the CSR), so the candidate parent is just
-the first entry of each in-row.
-
-Epochs and lazy recompute
--------------------------
-A ``DiGraph`` is immutable; an update produces a *new* graph object.  Labels
-are therefore keyed on graph identity — the same idiom the executor's
-resident-object registry uses for shared-memory epochs — and recomputed
-lazily: the module-level cache holds labels per live snapshot (weakly, so
-retired snapshots drop their labels), and :class:`ReachabilityIndex` carries
-labels *across* one lineage step by appending the new nodes as singleton
-roots and the new edges to the overlay (``O(new + overlay)`` instead of
-``O(n + m)``), falling back to a full relabel after
-``_REBUILD_AFTER_EXTENSIONS`` extensions so overlay growth cannot degrade
-query cost unboundedly.
+Every online update needs one question answered: *which sources' rows must
+be re-estimated* (and which cached walk distributions die).  That is the
+forward ball of radius ``T`` around the inserted edges' heads, computed by
+the per-level BFS sweep :func:`repro.core.walks.forward_reachable_set`.
 """
 
 from __future__ import annotations
 
-import heapq
-import threading
-import weakref
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Sequence, Set, Tuple
+from typing import Iterable, Sequence, Set, Tuple
 
-import numpy as np
-
-from repro.core import kernels, walks
-from repro.errors import ConfigurationError
+from repro.core import walks
 from repro.graph.digraph import DiGraph
-
-#: Valid values for ``UpdateParams.reachability`` / the walker's switch.
-REACHABILITY_MODES = ("bfs", "interval")
-
-#: After this many incremental extensions the labels are rebuilt from
-#: scratch, bounding overlay growth (each extension appends its batch's
-#: edges to the overlay instead of re-running the forest construction).
-_REBUILD_AFTER_EXTENSIONS = 64
-
-
-@dataclass
-class IntervalLabels:
-    """Pre-order window labeling of one graph snapshot.
-
-    Attributes
-    ----------
-    n:
-        Number of labeled nodes.
-    pre:
-        ``pre[v]`` is node ``v``'s pre-order position; the subtree rooted at
-        ``v`` occupies exactly the slice ``[pre[v], pre[v] + size[v])``.
-    order:
-        Inverse permutation: ``order[pre[v]] == v``.
-    depth:
-        Depth of each node in its tree (roots are 0).
-    depth_pre:
-        ``depth`` permuted into pre-order (``depth[order]``) so a subtree's
-        depths are one contiguous slice.
-    size:
-        Subtree sizes (every leaf is 1).
-    overlay_pre / overlay_depth / overlay_head:
-        The non-tree edges ``(tail -> head)`` sorted by ``pre[tail]``:
-        the tail's pre-order position, the tail's depth, and the head node id.
-    extensions:
-        How many times these labels were extended in place of a rebuild.
-    """
-
-    n: int
-    pre: np.ndarray
-    order: np.ndarray
-    depth: np.ndarray
-    depth_pre: np.ndarray
-    size: np.ndarray
-    overlay_pre: np.ndarray
-    overlay_depth: np.ndarray
-    overlay_head: np.ndarray
-    extensions: int = 0
-    # Reusable distance scratch for queries (allocated lazily, reset to
-    # "infinity" at exactly the positions a query wrote).  Guarded by a
-    # non-blocking lock: a concurrent query on the same labels simply
-    # allocates its own buffer, so results never depend on contention.
-    _scratch: Optional[np.ndarray] = None
-    _scratch_lock: threading.Lock = field(default_factory=threading.Lock)
-
-
-def build_labels(graph: DiGraph) -> IntervalLabels:
-    """Label ``graph`` from scratch: forest, windows, and overlay."""
-    n = graph.n_nodes
-    in_indptr, in_indices = graph.in_csr
-
-    # parent[v] = min in-neighbour when it is < v, else -1 (v is a root).
-    # The first entry of each in-row is the minimum: DiGraph sorts edges by
-    # (src, dst) and builds the in-CSR with a stable sort on dst, so sources
-    # stay ascending within each row (the same invariant has_edge relies on).
-    parent = np.full(n, -1, dtype=np.int64)
-    if n > 0:
-        has_in = in_indptr[1:] > in_indptr[:-1]
-        first_in = np.zeros(n, dtype=np.int64)
-        first_in[has_in] = in_indices[in_indptr[:-1][has_in]]
-        keep = has_in & (first_in < np.arange(n, dtype=np.int64))
-        parent[keep] = first_in[keep]
-
-    # Subtree sizes: parent[v] < v makes descending node order a topological
-    # order of the forest, so one backward pass suffices.
-    parent_list = parent.tolist()
-    size_list = [1] * n
-    for v in range(n - 1, -1, -1):
-        p = parent_list[v]
-        if p >= 0:
-            size_list[p] += size_list[v]
-
-    # Pre-order positions and depths in one forward pass (children are
-    # visited in ascending id order): next_slot[u] tracks the first free
-    # position inside u's window for its next child's subtree.
-    pre_list = [0] * n
-    depth_list = [0] * n
-    next_slot = [0] * n
-    next_root = 0
-    for v in range(n):
-        p = parent_list[v]
-        if p < 0:
-            pre_list[v] = next_root
-            next_root += size_list[v]
-        else:
-            pre_list[v] = next_slot[p]
-            next_slot[p] += size_list[v]
-            depth_list[v] = depth_list[p] + 1
-        next_slot[v] = pre_list[v] + 1
-
-    # Depth-valued arrays use the narrowest safe dtype: hop counts are
-    # clamped to <= n at query time, so int32 holds every value whenever the
-    # node count does — and halves the query's memory traffic.
-    depth_dtype = np.int32 if n < 2**30 else np.int64
-    pre = np.asarray(pre_list, dtype=np.int64)
-    depth = np.asarray(depth_list, dtype=depth_dtype)
-    size = np.asarray(size_list, dtype=np.int64)
-    order = np.empty(n, dtype=np.int64)
-    order[pre] = np.arange(n, dtype=np.int64)
-    depth_pre = depth[order]
-
-    # Overlay: every edge that is not its head's tree edge.
-    edges = graph.edge_array()
-    if edges.shape[0] > 0:
-        tails = edges[:, 0]
-        heads = edges[:, 1]
-        non_tree = parent[heads] != tails
-        o_tail = tails[non_tree]
-        o_head = heads[non_tree]
-        o_pre = pre[o_tail]
-        by_tail_pre = np.argsort(o_pre, kind="stable")
-        overlay_pre = o_pre[by_tail_pre]
-        overlay_depth = depth[o_tail][by_tail_pre]
-        overlay_head = o_head[by_tail_pre]
-    else:
-        overlay_pre = np.empty(0, dtype=np.int64)
-        overlay_depth = np.empty(0, dtype=depth_dtype)
-        overlay_head = np.empty(0, dtype=np.int64)
-
-    return IntervalLabels(
-        n=n, pre=pre, order=order, depth=depth, depth_pre=depth_pre,
-        size=size, overlay_pre=overlay_pre, overlay_depth=overlay_depth,
-        overlay_head=overlay_head, extensions=0,
-    )
-
-
-def extend_labels(
-    labels: IntervalLabels,
-    new_n: int,
-    new_edges: Sequence[Tuple[int, int]],
-) -> IntervalLabels:
-    """Carry ``labels`` across one lineage step (``add_edges``).
-
-    The caller guarantees the new snapshot is the labeled graph plus
-    ``new_edges`` (endpoints ``< new_n``); edges are never removed.  New
-    nodes become singleton roots appended after the existing windows, and
-    every new edge joins the overlay (a duplicate of an existing tree edge is
-    harmless — the overlay relaxation can never beat the tree descent).  The
-    old windows are untouched, so the result is a valid labeling of the new
-    snapshot at ``O(new + overlay)`` cost.
-    """
-    if new_n < labels.n:
-        raise ConfigurationError(
-            f"cannot shrink labels from {labels.n} to {new_n} nodes"
-        )
-    grown = new_n - labels.n
-    if grown > 0:
-        fresh = np.arange(labels.n, new_n, dtype=np.int64)
-        zeros = np.zeros(grown, dtype=labels.depth.dtype)
-        pre = np.concatenate([labels.pre, fresh])
-        order = np.concatenate([labels.order, fresh])
-        depth = np.concatenate([labels.depth, zeros])
-        depth_pre = np.concatenate([labels.depth_pre, zeros])
-        size = np.concatenate([labels.size, np.ones(grown, dtype=np.int64)])
-    else:
-        pre, order, depth = labels.pre, labels.order, labels.depth
-        depth_pre, size = labels.depth_pre, labels.size
-
-    overlay_pre = labels.overlay_pre
-    overlay_depth = labels.overlay_depth
-    overlay_head = labels.overlay_head
-    if len(new_edges) > 0:
-        add = np.asarray([(int(u), int(v)) for u, v in new_edges],
-                         dtype=np.int64).reshape(-1, 2)
-        add_pre = pre[add[:, 0]]
-        add_order = np.argsort(add_pre, kind="stable")
-        add_pre = add_pre[add_order]
-        add_depth = depth[add[:, 0]][add_order]
-        add_head = add[:, 1][add_order]
-        # Merge by insertion instead of re-sorting the whole overlay (and
-        # without np.insert, whose Python-level slicing costs more than the
-        # merge itself at this size).
-        old_m = overlay_pre.size
-        add_m = add_pre.size
-        new_at = np.searchsorted(overlay_pre, add_pre, side="right")
-        new_at += np.arange(add_m, dtype=np.int64)
-        keep = np.ones(old_m + add_m, dtype=bool)
-        keep[new_at] = False
-        merged_pre = np.empty(old_m + add_m, dtype=np.int64)
-        merged_depth = np.empty(old_m + add_m, dtype=labels.depth.dtype)
-        merged_head = np.empty(old_m + add_m, dtype=np.int64)
-        merged_pre[new_at] = add_pre
-        merged_pre[keep] = overlay_pre
-        merged_depth[new_at] = add_depth
-        merged_depth[keep] = overlay_depth
-        merged_head[new_at] = add_head
-        merged_head[keep] = overlay_head
-        overlay_pre, overlay_depth, overlay_head = (
-            merged_pre, merged_depth, merged_head)
-
-    # Steal the predecessor's scratch buffer (the walker has retired those
-    # labels); it is all-infinity between queries, so it can be adopted (or
-    # grown) as-is.
-    scratch: Optional[np.ndarray] = None
-    if labels._scratch is not None and labels._scratch_lock.acquire(blocking=False):
-        try:
-            scratch = labels._scratch
-            labels._scratch = None
-        finally:
-            labels._scratch_lock.release()
-        if scratch is not None and grown > 0:
-            tail = np.full(grown, np.iinfo(scratch.dtype).max,
-                           dtype=scratch.dtype)
-            scratch = np.concatenate([scratch, tail])
-
-    return IntervalLabels(
-        n=new_n, pre=pre, order=order, depth=depth, depth_pre=depth_pre,
-        size=size, overlay_pre=overlay_pre, overlay_depth=overlay_depth,
-        overlay_head=overlay_head, extensions=labels.extensions + 1,
-        _scratch=scratch,
-    )
-
-
-# Overlay segments at or below this length are walked with scalar Python
-# instead of vectorised NumPy: at a handful of entries the interpreter beats
-# the fixed per-call cost of ufunc dispatch.
-_SCALAR_OVERLAY = 8
-
-
-def _interval_ball(labels: IntervalLabels, seeds: Sequence[int],
-                   steps: int) -> Set[int]:
-    """Exact bounded-hop ball via Dijkstra over windows + overlay.
-
-    ``seeds`` must be validated, deduplicated node ids and ``steps >= 1``
-    (the trivial radii are handled by the caller so the contract stays
-    byte-for-byte aligned with ``forward_reachable_set``).
-
-    Every heap entry carries a true path length ``<= steps``, and ``best``
-    (indexed by pre-order position) only ever holds path lengths
-    ``<= steps`` — so the positions written are *exactly* the ball, and the
-    skip test doubles as the covered-subtree prune: once an ancestor window
-    covered a node at least as cheaply, re-entering its subtree can neither
-    improve a bound nor push a cheaper overlay exit (windows are laminar and
-    depth offsets only grow downward).
-    """
-    pre = labels.pre
-    size = labels.size
-    depth = labels.depth
-    depth_pre = labels.depth_pre
-    o_pre = labels.overlay_pre
-    o_depth = labels.overlay_depth
-    o_head = labels.overlay_head
-    has_overlay = o_pre.size > 0
-
-    # Hop distances never exceed n - 1, so clamping the radius keeps the
-    # result identical while every distance fits the labels' narrow dtype.
-    steps = min(int(steps), labels.n)
-    infinity = int(np.iinfo(depth_pre.dtype).max)
-    reusing = labels._scratch_lock.acquire(blocking=False)
-    if reusing:
-        best = labels._scratch
-        if best is None or best.size != labels.n:
-            best = np.full(labels.n, infinity, dtype=depth_pre.dtype)
-            labels._scratch = best
-    else:
-        best = np.full(labels.n, infinity, dtype=depth_pre.dtype)
-    heap: list = [(0, int(s)) for s in seeds]
-    hit_chunks: list = []
-
-    try:
-        while heap:
-            hops, node = heapq.heappop(heap)
-            lo = int(pre[node])
-            if best[lo] <= hops:
-                continue
-            hi = lo + int(size[node])
-            base = hops - int(depth[node])
-
-            # Tree descent: relax the whole window in one shot, keeping only
-            # in-radius improvements so written positions == ball members.
-            window = best[lo:hi]
-            candidate = depth_pre[lo:hi] + base
-            improved = (candidate < window) & (candidate <= steps)
-            hits = np.flatnonzero(improved)
-            if hits.size == 0:
-                continue
-            window[hits] = candidate[hits]
-            hit_chunks.append(lo + hits)
-
-            # Overlay exits whose tails live inside this window.
-            if has_overlay and hops < steps:
-                first, last = np.searchsorted(o_pre, (lo, hi)).tolist()
-                if last - first <= _SCALAR_OVERLAY:
-                    for k in range(first, last):
-                        tail_hops = int(o_depth[k]) + base
-                        if tail_hops < steps:
-                            head = int(o_head[k])
-                            dist = tail_hops + 1
-                            if dist < best[pre[head]]:
-                                heapq.heappush(heap, (dist, head))
-                elif first < last:
-                    tail_hops = o_depth[first:last] + base
-                    usable = tail_hops < steps
-                    if usable.any():
-                        heads = o_head[first:last][usable]
-                        dists = tail_hops[usable] + 1
-                        better = dists < best[pre[heads]]
-                        for head, dist in zip(heads[better].tolist(),
-                                              dists[better].tolist()):
-                            heapq.heappush(heap, (dist, head))
-
-        if not hit_chunks:
-            return set()
-        order = labels.order
-        if len(hit_chunks) == 1:
-            return set(order[hit_chunks[0]].tolist())
-        return set(order[np.concatenate(hit_chunks)].tolist())
-    finally:
-        if reusing:
-            # Restore the all-infinity invariant at exactly the written
-            # positions, then hand the scratch back.
-            for chunk in hit_chunks:
-                best[chunk] = infinity
-            labels._scratch_lock.release()
-
-
-# --------------------------------------------------------------------- #
-# Per-snapshot label cache (epoch = graph object identity)
-# --------------------------------------------------------------------- #
-
-_label_cache: Dict[int, Tuple["weakref.ref[DiGraph]", IntervalLabels]] = {}
-
-
-def shared_labels(graph: DiGraph) -> IntervalLabels:
-    """Return (building lazily) the cached labels for this exact snapshot.
-
-    Keyed by object identity with a weak reference, mirroring the executor's
-    resident-registry epochs: a new snapshot is a new object, so stale labels
-    can never be consulted, and a collected snapshot drops its labels.
-    """
-    key = id(graph)
-    entry = _label_cache.get(key)
-    if entry is not None:
-        ref, labels = entry
-        if ref() is graph:
-            return labels
-    labels = build_labels(graph)
-
-    def _evict(_ref: object, _key: int = key) -> None:
-        _label_cache.pop(_key, None)
-
-    _label_cache[key] = (weakref.ref(graph, _evict), labels)
-    return labels
-
-
-def interval_reachable_set(
-    graph: DiGraph,
-    seeds: Iterable[int],
-    steps: int,
-    labels: Optional[IntervalLabels] = None,
-) -> Set[int]:
-    """Interval-routed equivalent of :func:`walks.forward_reachable_set`.
-
-    Same contract, same edge cases: seeds are validated and deduplicated,
-    an empty seed set returns the empty set, and ``steps <= 0`` returns
-    exactly the validated seed set.
-    """
-    seed_list = sorted({graph.check_node(node) for node in seeds})
-    if not seed_list:
-        return set()
-    if steps <= 0:
-        return set(seed_list)
-    if labels is None:
-        labels = shared_labels(graph)
-    if kernels.active() == "numba":
-        return kernels.interval_ball(labels, seed_list, int(steps))
-    return _interval_ball(labels, seed_list, int(steps))
-
-
-def reachable_set(graph: DiGraph, seeds: Iterable[int], steps: int,
-                  mode: str = "interval") -> Set[int]:
-    """Mode-dispatched bounded reachability (the radius-query entry point)."""
-    if mode not in REACHABILITY_MODES:
-        raise ConfigurationError(
-            f"reachability mode must be one of {REACHABILITY_MODES}, got {mode!r}"
-        )
-    if mode == "bfs":
-        return walks.forward_reachable_set(graph, seeds, steps)
-    return interval_reachable_set(graph, seeds, steps)
 
 
 class ReachabilityIndex:
-    """Mode-aware update-routing index owned by one walker lineage.
+    """The routing hook an update lineage calls around each batch.
 
-    In ``"bfs"`` mode every query delegates to the oracle
-    (:func:`walks.forward_reachable_set`).  In ``"interval"`` mode the index
-    keeps the labels of the walker's *current* snapshot and carries them
-    across ``add_edges`` steps with :func:`extend_labels`, so routing one
-    update batch costs the batch's ball — not a relabel, and not a frontier
-    sweep.  Labels are invalidated purely by graph identity: querying a
-    snapshot the index has never seen triggers a lazy rebuild, never a stale
-    answer.
+    Routing is the stateless BFS sweep, so :meth:`advance` does nothing and
+    :meth:`query` delegates to :func:`walks.forward_reachable_set`.  The
+    class stays as the named seam the per-layer tracer wraps to report
+    ``reachability.route_ms`` (``perfbench/tracing.py``).
     """
-
-    def __init__(self, mode: str = "interval") -> None:
-        if mode not in REACHABILITY_MODES:
-            raise ConfigurationError(
-                f"reachability mode must be one of {REACHABILITY_MODES}, "
-                f"got {mode!r}"
-            )
-        self.mode = mode
-        self._graph_ref: Optional["weakref.ref[DiGraph]"] = None
-        self._labels: Optional[IntervalLabels] = None
-
-    def _current_graph(self) -> Optional[DiGraph]:
-        return self._graph_ref() if self._graph_ref is not None else None
-
-    def _adopt(self, graph: DiGraph, labels: IntervalLabels) -> None:
-        self._graph_ref = weakref.ref(graph)
-        self._labels = labels
-
-    @property
-    def labels(self) -> Optional[IntervalLabels]:
-        """The currently adopted labels (None until first prepare/query)."""
-        return self._labels
-
-    def prepare(self, graph: DiGraph) -> None:
-        """Build labels for ``graph`` now, off the routing hot path."""
-        if self.mode == "interval" and self._current_graph() is not graph:
-            self._adopt(graph, build_labels(graph))
 
     def advance(self, base_graph: DiGraph, new_graph: DiGraph,
                 new_edges: Sequence[Tuple[int, int]]) -> None:
-        """Carry labels across one lineage step ``base_graph -> new_graph``.
-
-        ``new_graph`` must equal ``base_graph`` plus ``new_edges`` (with node
-        growth), which is exactly what the incremental walker constructs.
-        Extension is the common path; a full relabel happens when the lineage
-        link is broken (the index last saw a different snapshot) or after
-        ``_REBUILD_AFTER_EXTENSIONS`` extensions.
-        """
-        if self.mode != "interval":
-            return
-        if (
-            self._labels is not None
-            and self._current_graph() is base_graph
-            and self._labels.extensions < _REBUILD_AFTER_EXTENSIONS
-        ):
-            labels = extend_labels(self._labels, new_graph.n_nodes, new_edges)
-        else:
-            labels = build_labels(new_graph)
-        self._adopt(new_graph, labels)
+        """Carry state across one lineage step (none to carry)."""
 
     def query(self, graph: DiGraph, seeds: Iterable[int],
               steps: int) -> Set[int]:
-        """Bounded forward ball on ``graph`` — identical to the BFS oracle."""
-        if self.mode == "bfs":
-            return walks.forward_reachable_set(graph, seeds, steps)
-        if self._current_graph() is not graph or self._labels is None:
-            self._adopt(graph, build_labels(graph))
-        return interval_reachable_set(graph, seeds, steps,
-                                      labels=self._labels)
+        """Nodes reachable from ``seeds`` along at most ``steps`` edges."""
+        return walks.forward_reachable_set(graph, seeds, steps)

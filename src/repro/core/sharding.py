@@ -51,7 +51,6 @@ from repro.config import ShardingParams, SimRankParams
 from repro.core import linear_system
 from repro.core.incremental import IncrementalCloudWalker
 from repro.core.index import DiagonalIndex
-from repro.core.resident_system import ResidentSystem
 from repro.engine.executor import (
     ExecutorBackend,
     ResidentHandle,
@@ -83,7 +82,7 @@ def run_shard_tasks(
     phases: :class:`ShardedIncrementalWalker` runs per-shard row estimation
     through it at build/update time, and
     :class:`~repro.service.sharded.ShardedQueryService` runs per-shard walk
-    simulation and top-k ranking through it at query time.  ``tasks`` maps
+    simulation through it at query time.  ``tasks`` maps
     shard id to a zero-argument callable; tasks are submitted in ascending
     shard order (so a serial backend reproduces the historical sequential
     loop exactly) and each result is returned as ``(value, seconds)`` —
@@ -92,7 +91,8 @@ def run_shard_tasks(
 
     For the ``processes`` backend every task must be picklable: build each
     from module-level functions via :func:`functools.partial`, as
-    :func:`estimate_shard_rows` and the service's scatter payloads do.
+    :func:`estimate_shard_rows_resident` and the service's scatter
+    payloads do.
     """
     shard_ids = sorted(tasks)
     outcomes = backend.run(
@@ -113,8 +113,7 @@ def estimate_shard_rows(
 
     This is the unit of distributed work: a worker holding the graph and the
     shard's node list produces the shard's COO triplets, independently of
-    every other shard (per-source random streams).  Module-level so the
-    ``processes`` executor backend can pickle it.
+    every other shard (per-source random streams).
     """
     return linear_system.build_rows_streamed(graph, list(nodes), params)
 
@@ -128,8 +127,8 @@ def estimate_shard_rows_resident(
     plus the shard's node list — O(nodes) bytes, independent of graph
     size; the worker materialises the graph once per residency epoch from
     shared memory (:func:`repro.engine.executor.resolve_resident`).  The
-    estimated rows are bitwise-identical to the ship-the-graph path: the
-    restored graph's CSR arrays are byte-for-byte the registering
+    estimated rows are bitwise-identical to estimating on the original
+    graph: the restored CSR arrays are byte-for-byte the registering
     process's, and every row consumes its own ``(seed, source)`` stream.
     """
     return estimate_shard_rows(resolve_resident(handle), nodes, params)
@@ -163,33 +162,13 @@ def slice_shard_block(
     The block keeps the full ``n x n`` shape with unselected rows empty, so
     blocks from *any* partition of the rows sum back to the full system —
     which is why a snapshot lineage can change shard plans between versions
-    without perturbing a single bit of the gathered system.  Module-level
-    so the ``processes`` executor backend can pickle migration slice tasks.
+    without perturbing a single bit of the gathered system.
     """
     keep = sparse.diags(np.asarray(mask, dtype=np.float64))
     block = (keep @ system).tocsr()
     block.eliminate_zeros()
     block.sort_indices()
     return block
-
-
-def slice_shard_block_resident(
-    handle: ResidentHandle, shard: int
-) -> sparse.csr_matrix:
-    """:func:`slice_shard_block` against a pool-resident system view.
-
-    The migration path's zero-copy twin: the task ships only a
-    :class:`~repro.engine.executor.ResidentHandle` plus the shard id —
-    O(1) bytes — instead of re-pickling the full ``n x n`` system and an
-    ``n``-bool mask into every slice task.  The worker materialises the
-    :class:`~repro.core.resident_system.ResidentSystem` (system CSR +
-    plan assignment) once per residency epoch and computes the mask
-    locally.  Slicing is deterministic over byte-identical restored
-    arrays, so the blocks are bitwise-identical to the ship-per-task
-    path.
-    """
-    view: ResidentSystem = resolve_resident(handle)
-    return slice_shard_block(view.system, view.assignment == shard)
 
 
 class ShardedIncrementalWalker(IncrementalCloudWalker):
@@ -219,16 +198,10 @@ class ShardedIncrementalWalker(IncrementalCloudWalker):
         the exact system is built in one pass, not sharded).
     backend:
         Executor backend running the per-shard tasks (default serial).
-        For the ``processes`` backend the graph is either registered as a
-        pool-resident object (``resident=True``, the default: workers
-        materialise it once per epoch from shared memory and tasks ship a
-        handle) or pickled into every task (``resident=False``).
-    resident:
-        Register the graph on the backend's resident registry before each
-        fan-out (see :meth:`repro.engine.executor.ExecutorBackend.
-        ensure_resident`).  Identity-keyed: a live update's new graph
-        starts a new residency epoch automatically.  Results are bitwise
-        identical either way.
+        The graph is registered on the backend's resident registry before
+        each fan-out (see :meth:`repro.engine.executor.ExecutorBackend.
+        ensure_resident`), so tasks ship a handle instead of the graph;
+        a live update's new graph starts a new residency epoch.
 
     Attributes
     ----------
@@ -252,25 +225,15 @@ class ShardedIncrementalWalker(IncrementalCloudWalker):
         params: Optional[SimRankParams] = None,
         exact: bool = False,
         backend: Optional[ExecutorBackend] = None,
-        resident: bool = True,
-        reachability: str = "interval",
     ) -> None:
         super().__init__(
             graph, params=params, exact=exact,
             stream_per_source=True, warm_start=False,
-            reachability=reachability,
         )
         self.plan = plan
         self.backend = backend or SerialBackend()
-        self.resident = resident
         self.shard_build_seconds: Dict[int, float] = {}
-        self.shard_slice_seconds: Dict[int, float] = {}
         self.last_touched_shards: frozenset = frozenset()
-        # Residency view over (system, assignment), rebuilt whenever the
-        # maintained system is a new object (add_edges splices a new CSR)
-        # — identity-keyed like every resident registration, so a stale
-        # view can never be re-registered after a lineage event.
-        self._system_view: Optional[ResidentSystem] = None
 
     @classmethod
     def from_params(
@@ -279,7 +242,6 @@ class ShardedIncrementalWalker(IncrementalCloudWalker):
         sharding: ShardingParams,
         params: Optional[SimRankParams] = None,
         exact: bool = False,
-        reachability: str = "interval",
     ) -> "ShardedIncrementalWalker":
         """Construct plan, backend and walker from a :class:`ShardingParams`."""
         return cls(
@@ -288,8 +250,6 @@ class ShardedIncrementalWalker(IncrementalCloudWalker):
             params=params,
             exact=exact,
             backend=make_backend(sharding.backend, max_workers=sharding.max_workers),
-            resident=sharding.resident_graph,
-            reachability=reachability,
         )
 
     def _build_rows(self, graph: DiGraph, sources) -> sparse.csr_matrix:
@@ -304,22 +264,15 @@ class ShardedIncrementalWalker(IncrementalCloudWalker):
             return super()._build_rows(graph, sources)
         groups = self.plan.group_nodes(sources)
         self.last_touched_shards = frozenset(groups)
-        if self.resident:
-            # Register (or re-register after an update: `graph` is a new
-            # object, hence a new epoch) so each task ships a handle plus
-            # its node list instead of the whole graph.
-            handle = self.backend.ensure_resident("graph", graph)
-            tasks = {
-                shard: partial(estimate_shard_rows_resident, handle,
-                               groups[shard], self.params)
-                for shard in groups
-            }
-        else:
-            tasks = {
-                shard: partial(estimate_shard_rows, graph, groups[shard],
-                               self.params)
-                for shard in groups
-            }
+        # Register (or re-register after an update: `graph` is a new
+        # object, hence a new epoch) so each task ships a handle plus its
+        # node list instead of the whole graph.
+        handle = self.backend.ensure_resident("graph", graph)
+        tasks = {
+            shard: partial(estimate_shard_rows_resident, handle,
+                           groups[shard], self.params)
+            for shard in groups
+        }
         outcomes = run_shard_tasks(self.backend, tasks)
         for shard, (_triplets, seconds) in outcomes.items():
             self.shard_build_seconds[shard] = seconds
@@ -343,86 +296,24 @@ class ShardedIncrementalWalker(IncrementalCloudWalker):
             )
         clone = ShardedIncrementalWalker(
             self.graph, plan, params=self.params, exact=self.exact,
-            backend=self.backend, resident=self.resident,
-            reachability=self.reachability,
+            backend=self.backend,
         )
         clone.attach(self.index, system=self._system)
         return clone
 
-    def _system_residency_view(self) -> ResidentSystem:
-        """The maintained system + assignment as one residency view (cached).
-
-        The view object's identity is what keys the resident registry, so
-        it must change exactly when the underlying state does: a new
-        maintained system (``add_edges`` splices a new CSR, ``attach``
-        adopts one) or a new node count (the assignment covers every row)
-        invalidates the cache.  ``with_plan`` migration clones start with
-        no cached view at all — their first registration is a fresh epoch
-        on the shared backend, so workers can never slice under a retired
-        plan's assignment.
-        """
-        view = self._system_view
-        if (view is None or view.system is not self._system
-                or view.assignment.shape[0] != self._system.shape[0]):
-            n = self._system.shape[0]
-            view = ResidentSystem(
-                diagonal=self.index.diagonal if self.index is not None else None,
-                system=self._system,
-                assignment=self.plan.assign(n),
-            )
-            self._system_view = view
-        return view
-
-    def shard_systems(
-        self, backend: Optional[ExecutorBackend] = None
-    ) -> List[sparse.csr_matrix]:
+    def shard_systems(self) -> List[sparse.csr_matrix]:
         """Row-slice the maintained system into per-shard blocks.
 
         Block ``k`` is an ``n x n`` CSR holding exactly shard ``k``'s rows
         (other rows empty); summing the blocks reproduces the full system.
         Used by sharded snapshots, which persist one block per shard
-        directory (see :class:`repro.core.index.ShardedSnapshotStore`).
-
-        With a ``backend`` the per-shard slices run as one task per shard
-        through :func:`run_shard_tasks` (the migration path fans the new
-        plan's blocks out this way, recording per-shard timings in
-        :attr:`shard_slice_seconds`); without one they run serially
-        in-process.  The blocks are identical either way — slicing is
-        deterministic and shards are independent.
-
-        With ``resident=True`` (the default) the fan-out registers the
-        maintained system plus the plan assignment as one pool-resident
-        :class:`~repro.core.resident_system.ResidentSystem` and each task
-        ships only ``(handle, shard)`` (:func:`slice_shard_block_resident`)
-        instead of re-pickling the full system per shard.
+        directory (see :class:`repro.core.index.ShardedSnapshotStore`), and
+        by the migration path, which slices the new plan's blocks before
+        the flip.
         """
         if self._system is None:
             raise ConfigurationError("call build() or attach() before shard_systems()")
-        n = self._system.shape[0]
-        if backend is not None and self.resident:
-            handle = backend.ensure_resident("system",
-                                             self._system_residency_view())
-            tasks = {
-                shard: partial(slice_shard_block_resident, handle, shard)
-                for shard in range(self.plan.num_shards)
-            }
-            outcomes = run_shard_tasks(backend, tasks)
-            self.shard_slice_seconds = {
-                shard: seconds for shard, (_block, seconds) in outcomes.items()
-            }
-            return [outcomes[shard][0] for shard in range(self.plan.num_shards)]
-        assignment = self.plan.assign(n)
-        if backend is not None:
-            tasks = {
-                shard: partial(slice_shard_block, self._system,
-                               assignment == shard)
-                for shard in range(self.plan.num_shards)
-            }
-            outcomes = run_shard_tasks(backend, tasks)
-            self.shard_slice_seconds = {
-                shard: seconds for shard, (_block, seconds) in outcomes.items()
-            }
-            return [outcomes[shard][0] for shard in range(self.plan.num_shards)]
+        assignment = self.plan.assign(self._system.shape[0])
         return [
             slice_shard_block(self._system, assignment == shard)
             for shard in range(self.plan.num_shards)

@@ -26,7 +26,7 @@ the pool.
 Resident objects
 ----------------
 Backends also carry a **resident object registry**: large read-mostly
-objects (the served graph, a shard plan) are registered once per pool
+objects (the served graph) are registered once per pool
 epoch via :meth:`ExecutorBackend.ensure_resident` and subsequent tasks
 ship only a small :class:`ResidentHandle` instead of the object itself.
 Tasks call :func:`resolve_resident` to get the object back:
@@ -51,10 +51,9 @@ broken-pool recovery path) releases every resident registration, so
 shared-memory segments can never outlive their pool's owner; a later
 ``ensure_resident`` transparently re-exports.
 
-Objects that define ``resident_export()`` / ``resident_restore()`` (see
-:class:`repro.graph.digraph.DiGraph`) are exported as raw arrays and
-restored zero-copy; any other picklable object falls back to a pickled
-blob in shared memory, still materialised once per worker per epoch.
+A resident object must define ``resident_export()`` /
+``resident_restore()`` (see :class:`repro.graph.digraph.DiGraph`): it is
+exported as raw arrays and restored zero-copy.
 """
 
 from __future__ import annotations
@@ -117,8 +116,7 @@ class ResidentHandle:
     arrays:
         Layout of the exported arrays inside the segment.
     meta:
-        Pickled ``(restore_cls, meta_dict)`` recipe; ``restore_cls`` is
-        ``None`` for the pickled-blob fallback.
+        Pickled ``(restore_cls, meta_dict)`` recipe.
     """
 
     token: str
@@ -174,10 +172,7 @@ def resolve_resident(handle: ResidentHandle) -> Any:
         for spec in handle.arrays
     ]
     restore_cls, meta = pickle.loads(handle.meta)
-    if restore_cls is None:
-        obj = pickle.loads(views[0].tobytes())
-    else:
-        obj = restore_cls.resident_restore(meta, views)
+    obj = restore_cls.resident_restore(meta, views)
     _ATTACHED_RESIDENTS[handle.token] = (obj, shm)
     while len(_ATTACHED_RESIDENTS) > _ATTACHED_CAPACITY:
         _token, (_old, old_shm) = _ATTACHED_RESIDENTS.popitem(last=False)
@@ -220,6 +215,7 @@ class ExecutorBackend:
             if entry is not None and entry[0] is obj:
                 return entry[1]
             if entry is not None:
+                del self._residents[key]
                 self._release_resident(entry)
             epoch = self._resident_epochs.get(key, 0) + 1
             self._resident_epochs[key] = epoch
@@ -356,9 +352,8 @@ class ProcessBackend(ExecutorBackend):
     last_payload_bytes:
         Pickled size of each task of the most recent :meth:`run`, in
         submission order.  A free by-product of the fail-fast picklability
-        check; the zero-copy serving benchmark and the payload regression
-        test read it to prove scatter payloads stay O(arguments) once the
-        graph is resident.
+        check; the payload regression test reads it to prove scatter
+        payloads stay O(arguments) once the graph is resident.
     total_payload_bytes:
         Cumulative pickled task bytes across every ``run`` of this
         backend's lifetime.
@@ -445,21 +440,19 @@ class ProcessBackend(ExecutorBackend):
     ) -> Tuple[ResidentHandle, Any]:
         """Export ``obj`` into one shared-memory segment.
 
-        Objects implementing the residency protocol (``resident_export``
+        ``obj`` implements the residency protocol (``resident_export``
         returning ``(meta_dict, [arrays])`` plus a ``resident_restore``
-        classmethod) are laid out as raw arrays and restored zero-copy in
-        the workers; anything else is pickled into the segment and
-        unpickled once per worker.
+        classmethod): its arrays are laid out raw and restored zero-copy
+        in the workers.
         """
         from multiprocessing import shared_memory
 
-        if hasattr(obj, "resident_export"):
-            meta_dict, source_arrays = obj.resident_export()
-            restore_cls: Optional[type] = type(obj)
-        else:
-            blob = np.frombuffer(pickle.dumps(obj), dtype=np.uint8)
-            meta_dict, source_arrays = {}, [blob]
-            restore_cls = None
+        if not hasattr(obj, "resident_export"):
+            raise TypeError(
+                f"{type(obj).__name__} does not implement resident_export(); "
+                "only objects with the residency protocol can be shared"
+            )
+        meta_dict, source_arrays = obj.resident_export()
         arrays = [np.ascontiguousarray(array) for array in source_arrays]
         specs: List[_ArraySpec] = []
         offset = 0
@@ -479,7 +472,7 @@ class ProcessBackend(ExecutorBackend):
             del view  # release the exported buffer so close() stays legal
         handle = ResidentHandle(
             token=token, kind="shm", epoch=epoch, shm_name=shm.name,
-            arrays=tuple(specs), meta=pickle.dumps((restore_cls, meta_dict)),
+            arrays=tuple(specs), meta=pickle.dumps((type(obj), meta_dict)),
         )
         return handle, shm
 

@@ -45,10 +45,6 @@ class DiGraph:
         "_in_indices",
         "_out_indptr",
         "_out_indices",
-        # Weak references let per-snapshot derived structures (the interval
-        # reachability labels in repro.core.reachability) key their caches on
-        # graph *identity* without pinning retired snapshots in memory.
-        "__weakref__",
     )
 
     def __init__(

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, Optional
 
 from repro.config import SimRankParams
-from repro.core import reachability
 from repro.core.montecarlo import WalkDistributions
 from repro.errors import ConfigurationError
 
@@ -81,11 +80,6 @@ class CacheStats:
             "evictions": self.evictions,
             "inserts": self.inserts,
             "invalidations": self.invalidations,
-            # Routed evictions (update-driven invalidate_sources /
-            # invalidate_reachable removals) under the name operators
-            # correlate with update storms; capacity evictions stay
-            # separate under "evictions".
-            "evictions_routed": self.invalidations,
             "hit_rate": self.hit_rate,
             **self.extras,
         }
@@ -154,23 +148,6 @@ class WalkDistributionCache:
             del self._entries[key]
         self.stats.invalidations += len(stale_keys)
         return len(stale_keys)
-
-    def invalidate_reachable(self, graph: Any, heads: Iterable[int],
-                             steps: int, mode: str = "interval") -> int:
-        """Drop the entries a mutation with the given edge heads stales.
-
-        Convenience radius-query form of :meth:`invalidate_sources`: the
-        stale sources are the bounded forward ball around ``heads`` on the
-        *post-mutation* ``graph``, computed by
-        :func:`repro.core.reachability.reachable_set` in the requested
-        ``mode`` (``"interval"`` window labels or the ``"bfs"`` oracle —
-        identical sets either way).  The service's own mutation path passes
-        the walker's already-computed affected set to
-        :meth:`invalidate_sources` instead, so routing runs once per drain;
-        this entry point serves callers that only know the edge batch.
-        """
-        ball = reachability.reachable_set(graph, heads, steps, mode=mode)
-        return self.invalidate_sources(ball)
 
     def clear(self) -> None:
         """Drop every entry (the stats counters are kept)."""

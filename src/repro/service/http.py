@@ -306,10 +306,6 @@ class HttpServiceServer:
 
     async def _run_async(self, out: Optional[IO[str]]) -> None:
         await self.start()
-        if out is not None:
-            print(f"serving on http://{self.host}:{self.port} "
-                  f"(index version {self.service.index_version})",
-                  file=out, flush=True)
         loop = asyncio.get_running_loop()
         shutdown = asyncio.Event()
         installed: List[signal.Signals] = []
@@ -320,6 +316,12 @@ class HttpServiceServer:
             except (NotImplementedError, RuntimeError):
                 pass
         try:
+            # Announce only once the handlers are in: a supervisor may send
+            # SIGTERM as soon as it reads this line.
+            if out is not None:
+                print(f"serving on http://{self.host}:{self.port} "
+                      f"(index version {self.service.index_version})",
+                      file=out, flush=True)
             await shutdown.wait()
         finally:
             for signum in installed:
@@ -399,10 +401,16 @@ class HttpServiceServer:
             length = int(headers.get("content-length", "0"))
         except ValueError as exc:
             raise _HttpError(400, "malformed Content-Length") from exc
+        if length < 0:
+            raise _HttpError(400, f"negative Content-Length {length}")
         if length > MAX_BODY_BYTES:
             raise _HttpError(413, f"body of {length} bytes exceeds "
                                   f"{MAX_BODY_BYTES}")
-        body = await reader.readexactly(length) if length else b""
+        try:
+            body = await reader.readexactly(length) if length else b""
+        except asyncio.IncompleteReadError as exc:
+            raise _HttpError(400, f"body ended after {len(exc.partial)} of "
+                                  f"{length} bytes") from exc
         return method.upper(), path, headers, body
 
     async def _write_response(self, writer: asyncio.StreamWriter, status: int,

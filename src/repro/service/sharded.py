@@ -12,8 +12,8 @@ of per-node serving state follows the plan —
 * **walk-distribution caches**: one LRU per shard, so a shard's cache holds
   exactly the sources it owns and an update invalidates only inside the
   touched shards;
-* **top-k ranking**: the owner shard scores the source, every shard ranks
-  the candidate nodes it owns, and the results are merged *exactly*
+* **top-k ranking**: the source is scored once, every shard's owned slice
+  of the scores is ranked, and the results are merged *exactly*
   (:func:`repro.core.queries.merge_top_k` — the canonical total order makes
   the merge provably equal to single-shard ranking);
 * **versions**: the global :attr:`~ShardedQueryService.index_version` keeps
@@ -21,12 +21,14 @@ of per-node serving state follows the plan —
   :attr:`~ShardedQueryService.shard_versions` records, per shard, the last
   global version that re-estimated one of its rows.
 
-Per-shard query work is *scattered in parallel*: cache misses are grouped
-by owning shard and simulated as one task per shard, and top-k ranking runs
-one task per shard, all through a persistent executor backend the service
-owns (``ServiceParams.serve_backend`` / ``ServiceParams.serve_workers``;
-the same :func:`repro.core.sharding.run_shard_tasks` primitive the build
-path fans out through).  The service is **thread-safe**: concurrent
+Walk simulation is *scattered in parallel*: cache misses are grouped by
+owning shard and simulated as one task per shard through a persistent
+executor backend the service owns (``ServiceParams.serve_backend`` /
+``ServiceParams.serve_workers``; the same
+:func:`repro.core.sharding.run_shard_tasks` primitive the build path fans
+out through).  The served graph is registered on that backend as a
+resident object, so each task ships a handle plus its source ids.  The
+service is **thread-safe**: concurrent
 :meth:`~QueryService.run_batch` calls and live updates (immediate or
 deferred) serialise on an internal lock, so every
 :class:`~repro.service.service.BatchAnswers` is computed against exactly
@@ -60,7 +62,7 @@ from __future__ import annotations
 
 import os
 import threading
-from collections import OrderedDict
+import time
 from functools import partial
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -73,7 +75,7 @@ from repro.config import (
     SimRankParams,
     UpdateParams,
 )
-from repro.core import kernels, montecarlo
+from repro.core import montecarlo
 from repro.core.index import (
     DiagonalIndex,
     ShardedIndex,
@@ -82,10 +84,8 @@ from repro.core.index import (
 from repro.core.queries import (
     QueryEngine,
     merge_top_k,
-    propagate_scores,
     rank_top_k_entries,
 )
-from repro.core.resident_system import ResidentSystem
 from repro.core.sharding import (
     ShardedIncrementalWalker,
     make_plan,
@@ -110,7 +110,7 @@ PathLike = Union[str, os.PathLike]
 
 
 def _simulate_shard_sources(
-    graph: DiGraph,
+    handle: ResidentHandle,
     sources: Sequence[int],
     params: SimRankParams,
     walkers: int,
@@ -119,12 +119,17 @@ def _simulate_shard_sources(
     """One shard's scatter payload: simulate its missing sources, chunked.
 
     Module-level (picklable) so the ``processes`` serve backend can ship
-    it to a worker.  The chunking is exactly the sequential path's
+    it to a worker.  The task closes over a
+    :class:`~repro.engine.executor.ResidentHandle` and the shard's source
+    ids — O(sources) bytes — and the worker materialises the graph once
+    per residency epoch (:func:`repro.engine.executor.resolve_resident`).
+    The chunking is exactly the sequential path's
     (:func:`repro.service.batching.chunk_sources` at the service's
     ``max_batch_size``) and every source consumes its own ``(seed,
     source)`` random stream, so running shards concurrently — in any
     order, on any backend — produces bitwise-identical distributions.
     """
+    graph = resolve_resident(handle)
     resolved: Dict[int, montecarlo.WalkDistributions] = {}
     for chunk in chunk_sources(list(sources), max_batch_size):
         resolved.update(
@@ -133,137 +138,6 @@ def _simulate_shard_sources(
             )
         )
     return resolved
-
-
-def _simulate_shard_sources_resident(
-    handle: ResidentHandle,
-    sources: Sequence[int],
-    params: SimRankParams,
-    walkers: int,
-    max_batch_size: int,
-) -> Dict[int, montecarlo.WalkDistributions]:
-    """:func:`_simulate_shard_sources` against a pool-resident graph.
-
-    The zero-copy serving hot path: the task closes over a
-    :class:`~repro.engine.executor.ResidentHandle` and the shard's source
-    ids — O(sources) bytes — and the worker materialises the graph once
-    per residency epoch (:func:`repro.engine.executor.resolve_resident`),
-    so steady-state scatter payloads are independent of graph size.  The
-    simulated distributions are bitwise-identical to the ship-the-graph
-    path: the restored CSR arrays are byte-for-byte the service's, and
-    every source consumes its own ``(seed, source)`` stream.
-    """
-    return _simulate_shard_sources(
-        resolve_resident(handle), sources, params, walkers, max_batch_size
-    )
-
-
-def _rank_shard_resident(
-    handle: ResidentHandle, shard: int, values: np.ndarray,
-    source: int, k: int,
-) -> List[Tuple[int, float]]:
-    """One shard's top-k ranking against pool-resident owned-node arrays.
-
-    The per-shard owned-node id arrays are a pure function of the plan and
-    the node count — epoch-stable, like the graph — so they ride the
-    resident registry and each ranking task ships only the shard's score
-    slice (``values = scores[owned]``, O(n / K) floats) plus a handle.
-    This is the in-process residency path (serial/thread serve backends:
-    the slice is a reference, not a copy); the process backend uses the
-    fully payload-free :func:`_rank_shard_payload_free` instead.
-    """
-    # `values` is this task's own gather (or its unpickled payload on the
-    # processes backend), so the ranking may mask it in place.
-    owned = resolve_resident(handle)[shard]
-    return rank_top_k_entries(owned, values, source, k, copy=False)
-
-
-#: Per-worker caches behind :func:`_rank_shard_payload_free`, keyed by
-#: resident tokens so a residency epoch bump (live update, rebalance flip,
-#: broken-pool recovery) naturally invalidates them.  Module-level because
-#: ``DiGraph`` uses ``__slots__`` (nothing can be hung off the restored
-#: object) and process-pool workers are single-threaded.
-_WORKER_TRANSITIONS: "OrderedDict[str, Any]" = OrderedDict()
-_WORKER_TRANSITION_CAPACITY = 4
-_WORKER_SCORES: "OrderedDict[Tuple, np.ndarray]" = OrderedDict()
-_WORKER_SCORE_CAPACITY = 128
-
-
-def _worker_transition_t(graph: DiGraph, token: str):
-    """``P^T`` (CSR) for a resident graph, cached per residency token."""
-    cached = _WORKER_TRANSITIONS.get(token)
-    if cached is not None:
-        _WORKER_TRANSITIONS.move_to_end(token)
-        return cached
-    transition_t = graph.transition_matrix().T.tocsr()
-    _WORKER_TRANSITIONS[token] = transition_t
-    while len(_WORKER_TRANSITIONS) > _WORKER_TRANSITION_CAPACITY:
-        _WORKER_TRANSITIONS.popitem(last=False)
-    return transition_t
-
-
-def _rank_shard_payload_free(
-    graph_handle: ResidentHandle,
-    system_handle: ResidentHandle,
-    nodes_handle: ResidentHandle,
-    shard: int,
-    source: int,
-    k: int,
-    params: SimRankParams,
-    walkers: int,
-) -> List[Tuple[int, float]]:
-    """One shard's top-k ranking with **no per-task data payload at all**.
-
-    The endgame of the zero-copy story: the task ships three resident
-    handles plus five scalars — O(1) bytes, independent of graph *and*
-    system size — instead of the shard's ``scores[owned]`` slice (O(n/K)
-    floats per task, i.e. the full score vector per batch across shards).
-    The worker reconstructs the score vector itself from state that is
-    already pool-resident:
-
-    1. the source's walk distributions are **re-simulated** from the
-       deterministic ``(seed, source)`` stream
-       (:func:`repro.core.montecarlo.estimate_walk_distributions_batch` —
-       the exact call the service's scatter uses), so they are
-       bitwise-identical to the parent's by construction, and nothing
-       needs shipping;
-    2. the scores run through the shared
-       :func:`repro.core.queries.propagate_scores` against the resident
-       graph's transition and the resident system view's diagonal — the
-       same code over byte-identical restored arrays as the parent's
-       :meth:`~repro.core.queries.QueryEngine.propagate_source`;
-    3. the shard ranks the owned slice exactly like every other path.
-
-    Steps 1–2 are cached per ``(graph epoch, system epoch, source,
-    walkers, params)`` in a per-worker LRU, so a batch's K ranking tasks
-    pay the propagation once per worker that sees the source — redundant
-    across workers, but payload (the thing this path eliminates) dominates
-    propagation at serving scale, and epoch-keyed tokens make staleness
-    impossible: any lineage event re-registers and the key changes.
-    """
-    graph = resolve_resident(graph_handle)
-    system: ResidentSystem = resolve_resident(system_handle)
-    owned = resolve_resident(nodes_handle)[shard]
-    score_key = (graph_handle.token, system_handle.token, source, walkers,
-                 params)
-    scores = _WORKER_SCORES.get(score_key)
-    if scores is None:
-        transition_t = _worker_transition_t(graph, graph_handle.token)
-        distributions = montecarlo.estimate_walk_distributions_batch(
-            graph, [source], params, walkers=walkers
-        )[source]
-        scores = propagate_scores(
-            source, distributions, transition_t, system.diagonal,
-            params.c, params.walk_steps,
-        )
-        _WORKER_SCORES[score_key] = scores
-        while len(_WORKER_SCORES) > _WORKER_SCORE_CAPACITY:
-            _WORKER_SCORES.popitem(last=False)
-    else:
-        _WORKER_SCORES.move_to_end(score_key)
-    # scores[owned] is a fresh fancy-index gather, so in-place masking
-    # (copy=False) can never scribble on the cached vector.
-    return rank_top_k_entries(owned, scores[owned], source, k, copy=False)
 
 
 class ShardedQueryService(QueryService):
@@ -317,11 +191,11 @@ class ShardedQueryService(QueryService):
         was fully served from the caches.  The parallel-serve benchmark
         accounts a ``W``-worker deployment's critical path from these.
     last_rank_seconds:
-        Wall-clock of each shard's top-k ranking tasks in the most recent
+        Wall-clock of ranking each shard's owned slice in the most recent
         batch, accumulated per shard across the batch's top-k queries.
         Reset on every batch alongside ``last_scatter_seconds`` — the two
-        together cover every per-shard task the batch scattered, which is
-        the accounting identity the rebalance planner's cumulative
+        together cover every per-shard piece of work the batch did, which
+        is the accounting identity the rebalance planner's cumulative
         counters are built on (a fully cached batch scatters no
         simulation, so ``last_scatter_seconds`` stays empty while ranking
         time still lands here).
@@ -394,13 +268,10 @@ class ShardedQueryService(QueryService):
         )
         self.last_scatter_seconds: Dict[int, float] = {}
         self.last_rank_seconds: Dict[int, float] = {}
-        # Per-batch scatter-payload accounting (satellite of the zero-copy
-        # story): the backend's cumulative pickled-task counter is sampled
-        # around each batch, so every run the batch scatters — simulation
-        # AND ranking — is counted, not just the last one.
+        # Per-batch scatter-payload accounting: the backend's cumulative
+        # pickled-task counter is sampled around each batch.
         self.last_batch_payload_bytes = 0
         self._counters["scatter_payload_bytes"] = 0
-        self._batch_walkers: Optional[int] = None
 
     def _fresh_shard_state(self) -> None:
         """(Re)create the per-shard serving state for the current plan.
@@ -409,13 +280,8 @@ class ShardedQueryService(QueryService):
         per-shard caches start empty (ownership moved, and the plan-keyed
         cache routing must never serve a source from a shard that no
         longer owns it), per-shard counters restart (they describe load
-        *under this plan*), and the owned-node cache is dropped — the next
-        batch builds a new owned-nodes list, which is a new object and
-        therefore a new epoch in the serve backend's resident registry.
-        The resident system view is dropped for the same reason: a plan
-        flip changes nothing about the diagonal, but the registry is
-        identity-keyed, so a fresh view object is what bumps the system's
-        residency epoch in lockstep with the owned-nodes epoch.
+        *under this plan*), and the owned-node cache is dropped so the
+        next batch ranks under the new ownership.
         """
         self.shard_caches: List[WalkDistributionCache] = [
             WalkDistributionCache(self.service_params.cache_capacity)
@@ -428,7 +294,6 @@ class ShardedQueryService(QueryService):
         ]
         self._shard_nodes_cache: Optional[List[np.ndarray]] = None
         self._shard_nodes_n = -1
-        self._system_view: Optional[ResidentSystem] = None
 
     # ------------------------------------------------------------------ #
     # Cold start
@@ -460,8 +325,6 @@ class ShardedQueryService(QueryService):
             graph, plan, params=params, exact=update_params.exact,
             backend=make_backend(sharding.backend,
                                  max_workers=sharding.max_workers),
-            resident=sharding.resident_graph,
-            reachability=update_params.reachability,
         )
         mutator = GraphMutator(graph, params, update_params, walker=walker)
         index = mutator.build()
@@ -538,8 +401,6 @@ class ShardedQueryService(QueryService):
                 exact=update_params.exact,
                 backend=make_backend(service.sharding.backend,
                                      max_workers=service.sharding.max_workers),
-                resident=service.sharding.resident_graph,
-                reachability=update_params.reachability,
             )
             walker.attach(service.index, system=system)
             service._mutator = GraphMutator(graph, service.params, update_params,
@@ -577,23 +438,6 @@ class ShardedQueryService(QueryService):
             ]
             self._shard_nodes_n = self.graph.n_nodes
         return self._shard_nodes_cache
-
-    def _resident_system_view(self) -> ResidentSystem:
-        """The served system state as a residency view (cached by lineage).
-
-        Carries the solved diagonal — the only system-derived array the
-        payload-free ranking workers need.  The view object's identity
-        keys the serve backend's resident registry, so it is rebuilt
-        exactly on the epoch-bumping events: an adopted update swaps in a
-        new index (``view.diagonal is not self.index.diagonal``), and a
-        rebalance flip / snapshot restore goes through
-        :meth:`_fresh_shard_state`, which drops the cached view outright.
-        """
-        view = self._system_view
-        if view is None or view.diagonal is not self.index.diagonal:
-            view = ResidentSystem(diagonal=self.index.diagonal)
-            self._system_view = view
-        return view
 
     # ------------------------------------------------------------------ #
     # Lifecycle and concurrency
@@ -641,8 +485,8 @@ class ShardedQueryService(QueryService):
         swap-ins serialise, so the returned
         :class:`~repro.service.service.BatchAnswers` is always
         self-consistent with the :attr:`~QueryService.index_version` it
-        carries.  Within the batch, per-shard simulation and ranking run
-        concurrently on the serve pool.
+        carries.  Within the batch, per-shard simulation runs concurrently
+        on the serve pool.
         """
         if flush_pending and self._update_lock.acquire(blocking=False):
             try:
@@ -651,11 +495,7 @@ class ShardedQueryService(QueryService):
                 self._update_lock.release()
         with self._lock:
             # Sample the backend's cumulative pickled-task counter around
-            # the whole batch: a batch scatters several runs (one
-            # simulation fan-out plus one ranking fan-out per top-k
-            # query), and ``last_payload_bytes`` alone only ever shows the
-            # final run — which used to hide the ranking-scatter payloads
-            # from the zero-copy accounting entirely.
+            # the whole batch, so every run the batch scatters is counted.
             before = getattr(self._serve_backend, "total_payload_bytes", None)
             answers = super().run_batch(queries, walkers=walkers,
                                         flush_pending=False)
@@ -701,8 +541,6 @@ class ShardedQueryService(QueryService):
                 exact=self.update_params.exact,
                 backend=make_backend(self.sharding.backend,
                                      max_workers=self.sharding.max_workers),
-                resident=self.sharding.resident_graph,
-                reachability=self.update_params.reachability,
             )
             # Attaching estimates the linear system once — shard-by-shard,
             # concurrently — exactly like the single-shard attach but with
@@ -874,7 +712,7 @@ class ShardedQueryService(QueryService):
            ``RebalanceParams.improvement_threshold`` — or equals the
            serving plan — returns ``{"applied": False, ...}`` untouched.
         3. **Build**: re-slice the maintained linear system into the
-           proposal's shard blocks through the walker's executor backend
+           proposal's shard blocks
            (:meth:`~repro.core.sharding.ShardedIncrementalWalker.
            with_plan`).  Queries keep serving the old plan throughout —
            only the update lock is held.  Any failure here propagates and
@@ -882,9 +720,7 @@ class ShardedQueryService(QueryService):
            served has been touched yet.
         4. **Flip**, atomically under the serve lock: adopt the plan,
            reset the per-shard caches/counters/owned-node arrays
-           (:meth:`_fresh_shard_state` — a new owned-nodes object means a
-           new residency epoch, so pool workers can never rank against
-           stale ownership), bump the version, and install the new
+           (:meth:`_fresh_shard_state`), bump the version, and install the new
            walker's mutator.  A concurrent batch sees either the complete
            old topology or the complete new one.
         5. **Persist**: when a snapshot directory is configured, save the
@@ -937,7 +773,7 @@ class ShardedQueryService(QueryService):
             # anything served changes.
             mutator = self._ensure_mutator()
             new_walker = mutator.walker.with_plan(proposal)
-            blocks = new_walker.shard_systems(backend=new_walker.backend)
+            blocks = new_walker.shard_systems()
             with self._lock:
                 self.plan = proposal
                 self._fresh_shard_state()
@@ -1001,10 +837,6 @@ class ShardedQueryService(QueryService):
         """
         walkers_count = (walkers if walkers is not None
                          else self.query_params.query_walkers)
-        # Stash for _answer's payload-free ranking tasks, which re-simulate
-        # the source at exactly this batch's Monte-Carlo budget.  Batches
-        # serialise under the serve lock, so the stash cannot be torn.
-        self._batch_walkers = walkers_count
         resolved: Dict[int, montecarlo.WalkDistributions] = {}
         missing_by_shard: Dict[int, List[int]] = {}
         for source in plan.sources:
@@ -1025,29 +857,19 @@ class ShardedQueryService(QueryService):
         self.last_scatter_seconds = {}
         self.last_rank_seconds = {}
         if missing_by_shard:
-            if self.service_params.resident_graph:
-                # Zero-copy hot path: the graph rides the pool's resident
-                # registry (re-registered automatically when an update
-                # swaps it — `self.graph` is then a new object, i.e. a new
-                # epoch), so each task ships a handle plus its source ids.
-                handle = self._serve_backend.ensure_resident("graph", self.graph)
-                tasks = {
-                    shard: partial(
-                        _simulate_shard_sources_resident, handle, sources,
-                        self.query_params, walkers_count,
-                        self.service_params.max_batch_size,
-                    )
-                    for shard, sources in missing_by_shard.items()
-                }
-            else:
-                tasks = {
-                    shard: partial(
-                        _simulate_shard_sources, self.graph, sources,
-                        self.query_params, walkers_count,
-                        self.service_params.max_batch_size,
-                    )
-                    for shard, sources in missing_by_shard.items()
-                }
+            # The graph rides the pool's resident registry (re-registered
+            # automatically when an update swaps it — `self.graph` is then
+            # a new object, i.e. a new epoch), so each task ships a handle
+            # plus its source ids.
+            handle = self._serve_backend.ensure_resident("graph", self.graph)
+            tasks = {
+                shard: partial(
+                    _simulate_shard_sources, handle, sources,
+                    self.query_params, walkers_count,
+                    self.service_params.max_batch_size,
+                )
+                for shard, sources in missing_by_shard.items()
+            }
             outcomes = run_shard_tasks(self._serve_backend, tasks)
             for shard in sorted(outcomes):
                 simulated, seconds = outcomes[shard]
@@ -1065,83 +887,36 @@ class ShardedQueryService(QueryService):
 
     def _answer(self, query: Query,
                 distributions: Dict[int, montecarlo.WalkDistributions]) -> Answer:
-        """Answer one query; top-k is scattered across shards and merged.
+        """Answer one query; top-k is ranked per shard and merged.
 
-        The source's owner shard produces the score vector, each shard
-        ranks the candidate nodes it owns — one
-        :func:`repro.core.queries.rank_top_k_within` task per shard on the
-        serve backend — and the partial rankings are merged exactly
+        The source is scored once (:meth:`~repro.core.queries.QueryEngine.
+        propagate_source`), each shard's owned slice of the scores is
+        ranked (:func:`repro.core.queries.rank_top_k_entries`, timed into
+        ``last_rank_seconds`` and the shard's ``rank_seconds``), and the
+        partial rankings are merged exactly
         (:func:`repro.core.queries.merge_top_k`).  The ranking order is a
-        total order of the entries themselves, so concurrent per-shard
-        ranking cannot change the merged list.  Pair and source queries
-        are answered by the owner shard alone and delegate to the parent.
+        total order of the entries themselves, so the merged list equals
+        single-shard ranking.  Pair and source queries delegate to the
+        parent.
         """
         if isinstance(query, TopKQuery):
             self._counters["topk_queries"] += 1
-            owned_nodes = self._shard_nodes()
             capped_k = min(query.k, self.graph.n_nodes)
-            # With residency on, the owned-node id arrays (epoch-stable,
-            # like the graph) ride the resident registry.  How much else
-            # ships depends on the backend kind the registry reports:
-            #
-            # * ``"shm"`` (process pool): the graph and the system view
-            #   (diagonal) are resident too, so each ranking task ships
-            #   three handles plus scalars — no score slice, no propagate
-            #   here in the parent; the worker rebuilds the scores from
-            #   resident state (see :func:`_rank_shard_payload_free`).
-            # * ``"local"`` (serial/threads): tasks run in this process,
-            #   so the parent propagates once and each task closes over a
-            #   score-slice *reference* — zero serialisation already, and
-            #   one propagation beats K redundant ones.
-            shm_resident = False
-            if self.service_params.resident_graph:
-                nodes_handle = self._serve_backend.ensure_resident(
-                    "shard_nodes", owned_nodes)
-                shm_resident = nodes_handle.kind == "shm"
-            if shm_resident:
-                graph_handle = self._serve_backend.ensure_resident(
-                    "graph", self.graph)
-                system_handle = self._serve_backend.ensure_resident(
-                    "system", self._resident_system_view())
-                walkers_count = (self._batch_walkers
-                                 if self._batch_walkers is not None
-                                 else self.query_params.query_walkers)
-                tasks = {
-                    shard: partial(_rank_shard_payload_free, graph_handle,
-                                   system_handle, nodes_handle, shard,
-                                   query.source, capped_k,
-                                   self.query_params, walkers_count)
-                    for shard in range(self.num_shards)
-                }
-            else:
-                # Each task ships (or references) only its shard's gathered
-                # scores — O(n / K) per task instead of the full O(n)
-                # score vector K times over.
-                scores = self.query_engine.propagate_source(
-                    query.source, distributions[query.source]
-                )
-                if self.service_params.resident_graph:
-                    tasks = {
-                        shard: partial(_rank_shard_resident, nodes_handle,
-                                       shard, scores[owned_nodes[shard]],
-                                       query.source, capped_k)
-                        for shard in range(self.num_shards)
-                    }
-                else:
-                    tasks = {
-                        shard: partial(rank_top_k_entries, owned_nodes[shard],
-                                       scores[owned_nodes[shard]],
-                                       query.source, capped_k, copy=False)
-                        for shard in range(self.num_shards)
-                    }
-            outcomes = run_shard_tasks(self._serve_backend, tasks)
-            for shard in range(self.num_shards):
-                seconds = outcomes[shard][1]
+            scores = self.query_engine.propagate_source(
+                query.source, distributions[query.source]
+            )
+            partials = []
+            for shard, owned in enumerate(self._shard_nodes()):
+                start = time.perf_counter()
+                # scores[owned] is a fresh gather, so it may be masked in
+                # place.
+                partials.append(rank_top_k_entries(
+                    owned, scores[owned], query.source, capped_k, copy=False))
+                seconds = time.perf_counter() - start
                 self.last_rank_seconds[shard] = (
                     self.last_rank_seconds.get(shard, 0.0) + seconds
                 )
                 self._shard_counters[shard]["rank_seconds"] += seconds
-            partials = [outcomes[shard][0] for shard in range(self.num_shards)]
             return merge_top_k(partials, capped_k)
         return super()._answer(query, distributions)
 
@@ -1187,15 +962,12 @@ class ShardedQueryService(QueryService):
             "accuracy_budget": self.service_params.accuracy_budget,
             "query_walkers_served": self.query_params.query_walkers,
             "walk_steps_served": self.query_params.walk_steps,
-            "kernels_requested": kernels.requested(),
-            "kernels_active": kernels.active(),
             "num_shards": self.num_shards,
             "shard_strategy": self.plan.strategy,
             "plan_generation": self._plan_generation,
             "observed_sources": float(sum(self._node_loads.values())),
             "serve_backend": self.service_params.serve_backend,
             "serve_workers": self.service_params.serve_workers,
-            "resident_graph": self.service_params.resident_graph,
             "cache_size": sum(len(cache) for cache in self.shard_caches),
             "cache_capacity": self.service_params.cache_capacity * self.num_shards,
             "cache_memory_bytes": sum(
@@ -1208,13 +980,6 @@ class ShardedQueryService(QueryService):
             ),
             "cache_inserts": sum(cache.stats.inserts for cache in self.shard_caches),
             "cache_invalidations": sum(
-                cache.stats.invalidations for cache in self.shard_caches
-            ),
-            # Cumulative update-routed evictions (invalidate_sources /
-            # invalidate_reachable), summed across shards — the figure to
-            # correlate with update storms, distinct from capacity
-            # "cache_evictions".
-            "cache_evictions_routed": sum(
                 cache.stats.invalidations for cache in self.shard_caches
             ),
             "cache_hit_rate": hits / lookups if lookups else 0.0,

@@ -69,9 +69,7 @@ class MutationResult:
     update_seconds:
         Wall-clock cost of the incremental re-index.
     routing_seconds:
-        The slice of ``update_seconds`` spent computing the affected set
-        (the part ``UpdateParams.reachability`` switches between the BFS
-        sweep and the interval labels).
+        The slice of ``update_seconds`` spent computing the affected set.
     """
 
     edges_added: int
@@ -125,7 +123,6 @@ class GraphMutator:
             exact=self.update_params.exact,
             stream_per_source=True,
             warm_start=False,
-            reachability=self.update_params.reachability,
         )
         self._pending: List[Edge] = []
 

@@ -30,9 +30,6 @@ def _full_results(directory):
            {"speedup_at_4": 3.1, "all_identical": True})
     _write(directory, "parallel_serve",
            {"speedup_at_4": 2.5, "all_identical": True})
-    _write(directory, "zero_copy_serve",
-           {"payload_reduction": 9.0, "throughput_speedup": 1.1,
-            "all_identical": True})
     _write(directory, "http_serve",
            {"qps_speedup": 2.6, "p99_seconds": 0.05, "gate_passed": True,
             "all_identical": True})
@@ -43,9 +40,6 @@ def _full_results(directory):
            {"min_speedup_at_4": 2.7,
             "speedup_at_4": {"threads": 2.7, "processes": 3.0},
             "gate_passed": True, "all_identical": True,
-            "kernels": {"numba_available": False,
-                        "bitwise_identical": True,
-                        "combine_pair_speedup": None},
             "rows": [
                 {"backend": "serial", "workers": 0,
                  "payload_bytes_per_task": 0,
@@ -162,34 +156,31 @@ def test_below_threshold_fails_its_gate(tmp_path):
     results = tmp_path / "results"
     results.mkdir()
     _full_results(results)
-    _write(results, "zero_copy_serve",
-           {"payload_reduction": 3.0, "all_identical": True})
+    _write(results, "sharded_build",
+           {"speedup_at_4": 1.5, "all_identical": True})
     summary = run_all.consolidate_serving(results,
                                           tmp_path / "BENCH_serving.json")
-    assert summary["benchmarks"]["zero_copy_serve"]["gate_passed"] is False
+    assert summary["benchmarks"]["sharded_build"]["gate_passed"] is False
     assert summary["all_gates_passed"] is False
 
 
 def test_benchmarks_own_gate_verdict_wins_over_the_threshold(tmp_path):
-    """bench_zero_copy_serve gates payload OR throughput; a result whose
-    payload is under the table threshold but whose own gate passed (via
-    throughput) must be consolidated as a pass, not a false regression."""
+    """A result whose headline is under the table threshold but whose own
+    gate passed must be consolidated as a pass, not a false regression."""
     results = tmp_path / "results"
     results.mkdir()
     _full_results(results)
-    _write(results, "zero_copy_serve",
-           {"payload_reduction": 4.8, "throughput_speedup": 2.5,
-            "gate_passed": True, "all_identical": True})
+    _write(results, "http_serve",
+           {"qps_speedup": 1.8, "gate_passed": True, "all_identical": True})
     summary = run_all.consolidate_serving(results,
                                           tmp_path / "BENCH_serving.json")
-    assert summary["benchmarks"]["zero_copy_serve"]["gate_passed"] is True
+    assert summary["benchmarks"]["http_serve"]["gate_passed"] is True
     # ... but an own-gate pass can never override an identity violation.
-    _write(results, "zero_copy_serve",
-           {"payload_reduction": 9.0, "gate_passed": True,
-            "all_identical": False})
+    _write(results, "http_serve",
+           {"qps_speedup": 9.0, "gate_passed": True, "all_identical": False})
     summary = run_all.consolidate_serving(results,
                                           tmp_path / "BENCH_serving.json")
-    assert summary["benchmarks"]["zero_copy_serve"]["gate_passed"] is False
+    assert summary["benchmarks"]["http_serve"]["gate_passed"] is False
 
 
 def test_failed_run_overrides_stale_passing_file(tmp_path):
@@ -201,9 +192,9 @@ def test_failed_run_overrides_stale_passing_file(tmp_path):
     _full_results(results)
     summary = run_all.consolidate_serving(
         results, tmp_path / "BENCH_serving.json",
-        run_status={"zero_copy_serve": False, "parallel_serve": True},
+        run_status={"rebalance": False, "parallel_serve": True},
     )
-    row = summary["benchmarks"]["zero_copy_serve"]
+    row = summary["benchmarks"]["rebalance"]
     assert row["status"] == "failed"
     assert row["gate_passed"] is False
     assert row["stale_file"] is not None
@@ -228,10 +219,10 @@ def test_missing_result_is_reported_not_skipped(tmp_path):
     results = tmp_path / "results"
     results.mkdir()
     _full_results(results)
-    (results / "zero_copy_serve.json").unlink()
+    (results / "sharded_build.json").unlink()
     summary = run_all.consolidate_serving(results,
                                           tmp_path / "BENCH_serving.json")
-    assert summary["benchmarks"]["zero_copy_serve"]["status"] == "missing"
+    assert summary["benchmarks"]["sharded_build"]["status"] == "missing"
     assert summary["all_gates_passed"] is False
 
 

@@ -18,9 +18,7 @@ from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
-from scipy import sparse
 
-from repro.core.resident_system import ResidentSystem
 from repro.engine.executor import (
     ProcessBackend,
     SerialBackend,
@@ -37,15 +35,14 @@ def _graph_fingerprint(handle):
     return (graph.n_nodes, graph.n_edges, int(indices.sum()), int(indptr[-1]))
 
 
-def _system_fingerprint(handle):
-    """Module-level (picklable) task: summarise the resident system view."""
-    view = resolve_resident(handle)
-    return (
-        float(view.diagonal.sum()) if view.diagonal is not None else None,
-        (int(view.system.nnz), float(view.system.data.sum()))
-        if view.system is not None else None,
-        int(view.assignment.sum()) if view.assignment is not None else None,
-    )
+def _csr_fingerprint(handle):
+    """Module-level (picklable) task: summarise all four CSR buffers."""
+    graph = resolve_resident(handle)
+    in_indptr, in_indices = graph.in_csr
+    out_indptr, out_indices = graph.out_csr
+    return (graph.n_nodes, graph.n_edges,
+            int(in_indices.sum()), int(in_indptr[-1]),
+            int(out_indices.sum()), int(out_indptr[-1]))
 
 
 def _die_hard():
@@ -194,12 +191,20 @@ class TestSharedMemoryResidency:
         assert backend.run([partial(_graph_fingerprint, revived)]) == [expected]
         backend.close()
 
-    def test_pickled_blob_fallback_for_plain_objects(self):
+    def test_pickled_blob_fallback_for_plain_objects(self, graph):
+        """No pickled-blob fallback: an object without ``resident_export``
+        is rejected, and the key it tried to replace is released, not left
+        pointing at an unlinked segment."""
         backend = ProcessBackend(max_workers=1)
         try:
-            payload = {"plan": [1, 2, 3], "strategy": "hash"}
-            handle = backend.ensure_resident("plan", payload)
-            assert resolve_resident(handle) == payload
+            first = backend.ensure_resident("graph", graph)
+            with pytest.raises(TypeError):
+                backend.ensure_resident("graph", {"plan": [1, 2, 3]})
+            assert backend.resident_handle("graph") is None
+            assert not _segment_exists(first.shm_name)
+            revived = backend.ensure_resident("graph", graph)
+            assert revived.epoch > first.epoch
+            assert resolve_resident(revived) == graph
         finally:
             backend.close()
 
@@ -218,78 +223,93 @@ class TestSharedMemoryResidency:
             backend.close()
 
 
-class TestResidentSystemResidency:
-    """The tentpole extension: the linear system rides the same registry.
+def _grown_graph(n=48, seed=21):
+    """A graph grown the way an applied update grows it: the old edge
+    list plus new edges, some of them naming new nodes."""
+    from repro.graph.digraph import DiGraph
 
-    A :class:`ResidentSystem` (diagonal + system CSR + shard assignment)
-    must round-trip through the shared-memory export byte-for-byte, as
-    zero-copy views, with the same epoch semantics as the graph.
+    base = generators.copying_model_graph(n, out_degree=4, seed=seed)
+    new_edges = np.array([(0, n + 3), (n + 3, 1), (n + 1, 2)], dtype=np.int64)
+    return DiGraph(n + 4, np.vstack([base.edge_array(), new_edges]),
+                   name=base.name)
+
+
+def _csr_fingerprint_local(graph):
+    """Parent-side twin of :func:`_csr_fingerprint` (no handle)."""
+    in_indptr, in_indices = graph.in_csr
+    out_indptr, out_indices = graph.out_csr
+    return (graph.n_nodes, graph.n_edges,
+            int(in_indices.sum()), int(in_indptr[-1]),
+            int(out_indices.sum()), int(out_indptr[-1]))
+
+
+class TestResidentSystemResidency:
+    """The graph an update lineage produces rides the same registry.
+
+    Each applied update swaps in a grown graph; it must round-trip through
+    the shared-memory export byte-for-byte, as zero-copy views of all four
+    CSR buffers, with identity-keyed epochs.
     """
 
-    def _view(self, n=48, seed=21):
-        rng = np.random.default_rng(seed)
-        diagonal = rng.random(n)
-        system = sparse.random(n, n, density=0.15, format="csr",
-                               random_state=np.random.RandomState(seed))
-        assignment = rng.integers(0, 4, size=n)
-        return ResidentSystem(diagonal=diagonal, system=system,
-                              assignment=assignment)
-
     def test_roundtrip_is_bitwise_and_zero_copy(self):
-        view = self._view()
+        view = _grown_graph()
         backend = ProcessBackend(max_workers=1)
         try:
-            handle = backend.ensure_resident("system", view)
+            handle = backend.ensure_resident("graph", view)
             assert handle.kind == "shm"
             restored = resolve_resident(handle)
-            assert np.array_equal(restored.diagonal, view.diagonal)
-            assert restored.system.shape == view.system.shape
-            assert np.array_equal(restored.system.data, view.system.data)
-            assert np.array_equal(restored.system.indices,
-                                  view.system.indices)
-            assert np.array_equal(restored.system.indptr, view.system.indptr)
-            assert np.array_equal(restored.assignment, view.assignment)
-            for array in (restored.diagonal, restored.system.data,
-                          restored.assignment):
-                assert array.base is not None, (
-                    "restored system arrays must be shared-memory views, "
+            assert restored.n_nodes == view.n_nodes
+            assert restored.n_edges == view.n_edges
+            for left, right in zip(restored.in_csr + restored.out_csr,
+                                   view.in_csr + view.out_csr):
+                assert left.dtype == right.dtype
+                assert np.array_equal(left, right)
+                assert left.base is not None, (
+                    "restored CSR arrays must be shared-memory views, "
                     "not copies"
                 )
         finally:
             backend.close()
 
     def test_worker_resolves_bitwise_equal_view(self):
-        view = self._view()
-        expected = _system_fingerprint_local(view)
+        view = _grown_graph()
+        expected = _csr_fingerprint_local(view)
         with ProcessBackend(max_workers=1) as backend:
-            handle = backend.ensure_resident("system", view)
+            handle = backend.ensure_resident("graph", view)
             # Two runs: the second is served from the worker-side cache.
-            assert backend.run([partial(_system_fingerprint, handle)]) == [expected]
-            assert backend.run([partial(_system_fingerprint, handle)]) == [expected]
+            assert backend.run([partial(_csr_fingerprint, handle)]) == [expected]
+            assert backend.run([partial(_csr_fingerprint, handle)]) == [expected]
 
     def test_partial_views_roundtrip(self):
-        """Each piece is optional (e.g. diagonal-only serving views)."""
-        diagonal_only = ResidentSystem(diagonal=np.arange(9, dtype=np.float64))
-        backend = ProcessBackend(max_workers=1)
-        try:
-            handle = backend.ensure_resident("system", diagonal_only)
-            restored = resolve_resident(handle)
-            assert np.array_equal(restored.diagonal, diagonal_only.diagonal)
-            assert restored.system is None
-            assert restored.assignment is None
-        finally:
-            backend.close()
+        """Degenerate graphs (no edges, one node) export zero-length index
+        arrays; the segment layout must still restore them."""
+        from repro.graph.digraph import DiGraph
+
+        for empty in (DiGraph(9, []), DiGraph(1, [])):
+            backend = ProcessBackend(max_workers=1)
+            try:
+                handle = backend.ensure_resident("graph", empty)
+                restored = resolve_resident(handle)
+                assert restored == empty
+                assert restored.n_edges == 0
+                assert len(restored.in_csr[1]) == 0
+                assert len(restored.out_csr[1]) == 0
+            finally:
+                backend.close()
 
     def test_new_view_object_bumps_epoch_and_unlinks(self):
-        """Identity-keyed, like the graph: a lineage event builds a new
-        view object, which must re-export and release the old segment."""
+        """Identity-keyed, not equality-keyed: an equal but distinct graph
+        object (a restored snapshot, a plan clone) re-exports and releases
+        the old segment."""
         backend = ProcessBackend(max_workers=1)
         try:
-            view = self._view(seed=1)
-            first = backend.ensure_resident("system", view)
+            view = _grown_graph(seed=1)
+            first = backend.ensure_resident("graph", view)
             # Same object => same registration, no re-export.
-            assert backend.ensure_resident("system", view) is first
-            second = backend.ensure_resident("system", self._view(seed=2))
+            assert backend.ensure_resident("graph", view) is first
+            twin = _grown_graph(seed=1)
+            assert twin == view and twin is not view
+            second = backend.ensure_resident("graph", twin)
             assert second.epoch == first.epoch + 1
             assert second.token != first.token
             assert not _segment_exists(first.shm_name)
@@ -300,20 +320,10 @@ class TestResidentSystemResidency:
     def test_handle_is_small(self):
         backend = ProcessBackend(max_workers=1)
         try:
-            handle = backend.ensure_resident("system", self._view(n=2000))
+            handle = backend.ensure_resident("graph", _grown_graph(n=2000))
             assert len(pickle.dumps(handle)) < 2048
         finally:
             backend.close()
-
-
-def _system_fingerprint_local(view):
-    """Parent-side twin of :func:`_system_fingerprint` (no handle)."""
-    return (
-        float(view.diagonal.sum()) if view.diagonal is not None else None,
-        (int(view.system.nnz), float(view.system.data.sum()))
-        if view.system is not None else None,
-        int(view.assignment.sum()) if view.assignment is not None else None,
-    )
 
 
 class TestResidentRestoreEquivalence:

@@ -23,6 +23,7 @@ import asyncio
 import http.client
 import json
 import random
+import signal
 import threading
 import time
 
@@ -339,8 +340,73 @@ class TestProtocol:
         status_line = _serve(service, scenario)
         assert b"400" in status_line
 
+    def _send_raw(self, service, raw):
+        """Send ``raw`` then half-close; return (reply bytes, bad_requests)."""
+        async def scenario(server):
+            reader, writer = await asyncio.open_connection("127.0.0.1",
+                                                           server.port)
+            try:
+                writer.write(raw)
+                writer.write_eof()
+                await writer.drain()
+                reply = await asyncio.wait_for(reader.read(), timeout=10)
+            finally:
+                writer.close()
+                try:
+                    await writer.wait_closed()
+                except (ConnectionResetError, BrokenPipeError):
+                    pass
+            return reply, server._counters["bad_requests"]
+
+        return _serve(service, scenario)
+
+    def test_negative_content_length_is_a_counted_400(self):
+        reply, bad = self._send_raw(
+            _sharded(_graph()),
+            b"POST /query HTTP/1.1\r\nContent-Length: -5\r\n\r\n")
+        assert reply.startswith(b"HTTP/1.1 400 ")
+        assert b"negative Content-Length" in reply
+        assert bad == 1
+
+    def test_truncated_body_is_a_counted_bad_request_and_closes(self):
+        reply, bad = self._send_raw(
+            _sharded(_graph()),
+            b"POST /query HTTP/1.1\r\nContent-Length: 50\r\n\r\n"
+            b'{"queries"')
+        # One 400, then the server closes: read() returned at EOF.
+        assert reply.startswith(b"HTTP/1.1 400 ")
+        assert reply.count(b"HTTP/1.1") == 1
+        assert bad == 1
+
 
 class TestLifecycle:
+    def test_signal_handlers_are_installed_before_the_announcement(self):
+        """A supervisor may SIGTERM the server the moment it reads the
+        ``serving on`` line, so the handlers must already be in place."""
+        service = _sharded(_graph())
+        default = signal.getsignal(signal.SIGTERM)
+        lines = []
+
+        class Out:
+            def write(self, text):
+                if text.startswith("serving on"):
+                    assert signal.getsignal(signal.SIGTERM) is not default, (
+                        "announced before the SIGTERM handler was installed"
+                    )
+                    # Safe only because the handler is installed.
+                    signal.raise_signal(signal.SIGTERM)
+                lines.append(text)
+
+            def flush(self):
+                pass
+
+        try:
+            HttpServiceServer(service, port=0).run(out=Out())
+        finally:
+            service.close()
+        assert lines[0].startswith("serving on")
+        assert any(line.startswith("shutdown complete") for line in lines)
+
     def test_stop_during_in_flight_request_drains_not_drops(self):
         graph = _graph()
         service = _sharded(graph)
@@ -355,7 +421,12 @@ class TestLifecycle:
             task = asyncio.ensure_future(_request(
                 server.port, "POST", "/query", {"queries": QUERY_LINES}
             ))
-            await asyncio.sleep(0.05)  # admitted, waiting in the window
+            # Wait until the request is admitted (waiting in the window);
+            # a fixed sleep can lose that race on a slow host.
+            deadline = time.monotonic() + 10
+            while server._active_requests == 0 and time.monotonic() < deadline:
+                await asyncio.sleep(0.005)
+            assert server._active_requests == 1
             await server.stop()
             return await task
 

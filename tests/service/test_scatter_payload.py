@@ -19,15 +19,22 @@ including after the serve pool broke mid-flight.
 """
 
 from concurrent.futures import BrokenExecutor
+from functools import partial
 from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
 
 from repro.config import ServiceParams, ShardingParams, SimRankParams
-from repro.engine.executor import ProcessBackend
+from repro.engine.executor import ProcessBackend, resolve_resident
 from repro.graph import generators
-from repro.service import PairQuery, QueryService, ShardedQueryService, TopKQuery
+from repro.service import (
+    PairQuery,
+    QueryService,
+    ShardedQueryService,
+    SourceQuery,
+    TopKQuery,
+)
 
 NUM_SHARDS = 4
 
@@ -46,6 +53,11 @@ class InlineProcessBackend(ProcessBackend):
         return [task() for task in tasks]
 
 
+def _node_count(graph):
+    """Module-level (picklable) task that ships the graph itself."""
+    return graph.n_nodes
+
+
 def _die_hard():
     import os
 
@@ -57,12 +69,12 @@ def _params():
                          index_walkers=20, query_walkers=60, seed=11)
 
 
-def _service(graph, resident):
+def _service(graph):
     service = ShardedQueryService(
         graph,
         _build_index(graph),
         _params(),
-        ServiceParams(cache_capacity=0, resident_graph=resident),
+        ServiceParams(cache_capacity=0),
         sharding=ShardingParams(num_shards=NUM_SHARDS),
     )
     service._serve_backend = InlineProcessBackend(max_workers=1)
@@ -91,9 +103,9 @@ class TestScatterPayloadIndependentOfGraphSize:
         small = generators.copying_model_graph(300, out_degree=5, seed=7)
         large = generators.copying_model_graph(3000, out_degree=5, seed=7)
         queries = _pair_queries(16)
-        with _service(small, resident=True) as service:
+        with _service(small) as service:
             small_bytes = _batch_scatter_bytes(service, queries)
-        with _service(large, resident=True) as service:
+        with _service(large) as service:
             large_bytes = _batch_scatter_bytes(service, queries)
         # A 10x larger graph must not move the scatter payload: allow only
         # incidental slack (token strings, pickling framing).
@@ -104,26 +116,32 @@ class TestScatterPayloadIndependentOfGraphSize:
         assert large_bytes < 64 * 1024
 
     def test_nonresident_payload_does_grow_with_the_graph(self):
-        """Sanity check on the instrument: without residency the graph
-        rides inside every task, so the same measurement must see growth —
+        """Sanity check on the instrument: a task that carries the graph
+        itself must register growth through the same accounting —
         otherwise the regression test above is vacuous."""
         small = generators.copying_model_graph(300, out_degree=5, seed=7)
         large = generators.copying_model_graph(3000, out_degree=5, seed=7)
-        queries = _pair_queries(16)
-        with _service(small, resident=False) as service:
-            small_bytes = _batch_scatter_bytes(service, queries)
-        with _service(large, resident=False) as service:
-            large_bytes = _batch_scatter_bytes(service, queries)
+        backend = InlineProcessBackend(max_workers=1)
+        try:
+            shipped = []
+            for graph in (small, large):
+                before = backend.total_payload_bytes
+                assert backend.run([partial(_node_count, graph)]) == [
+                    graph.n_nodes]
+                shipped.append(backend.total_payload_bytes - before)
+        finally:
+            backend.close()
+        small_bytes, large_bytes = shipped
         assert large_bytes > small_bytes * 4
-        with _service(large, resident=True) as service:
-            resident_bytes = _batch_scatter_bytes(service, queries)
+        with _service(large) as service:
+            resident_bytes = _batch_scatter_bytes(service, _pair_queries(16))
         assert large_bytes > resident_bytes * 5, (
             "residency should cut per-batch scatter bytes by >= 5x here"
         )
 
     def test_resident_payload_scales_with_sources_only(self):
         graph = generators.copying_model_graph(2000, out_degree=5, seed=7)
-        with _service(graph, resident=True) as service:
+        with _service(graph) as service:
             few_bytes = _batch_scatter_bytes(service, _pair_queries(8))
             many_bytes = _batch_scatter_bytes(service, _pair_queries(64))
         # 8x the sources: payload grows (it carries the source ids) but
@@ -135,7 +153,7 @@ class TestScatterPayloadIndependentOfGraphSize:
         queries = _pair_queries(10) + [TopKQuery(3, k=5)]
         reference = QueryService(graph, _build_index(graph),
                                  _params()).run_batch(queries)
-        with _service(graph, resident=True) as service:
+        with _service(graph) as service:
             answers = service.run_batch(queries)
         for left, right in zip(reference, answers):
             if isinstance(left, (float, list)):
@@ -156,14 +174,12 @@ def _answers_equal(left, right):
     return True
 
 
-def _build_service(graph, resident, num_shards=NUM_SHARDS):
+def _build_service(graph, num_shards=NUM_SHARDS):
     """A ``.build`` service (owns update state) on an inline process pool."""
     service = ShardedQueryService.build(
         graph, _params(),
-        service_params=ServiceParams(cache_capacity=0,
-                                     resident_graph=resident),
-        sharding=ShardingParams(num_shards=num_shards,
-                                resident_graph=resident),
+        service_params=ServiceParams(cache_capacity=0),
+        sharding=ShardingParams(num_shards=num_shards),
     )
     service._serve_backend = InlineProcessBackend(max_workers=1)
     return service
@@ -174,74 +190,78 @@ def _mixed_queries(count, topk=4):
 
 
 class TestResidentSystemLifecycle:
-    """Epoch lockstep of the resident system/owned-node views (satellite).
+    """A ``.build`` service (it owns the maintained linear system) on the
+    real shared-memory export, through the lineage events: an applied
+    ``add_edges``, a rebalance plan flip and a snapshot restore.
 
-    The payload-free ranking path is only safe if every lineage event —
-    an applied ``add_edges``, a rebalance plan flip, a snapshot restore —
-    re-registers the system view and the owned-node arrays under a fresh
-    epoch.  These tests pin the token bumps through the *real* service
-    entry points, with the real shared-memory export (inline execution).
+    The maintained system, the diagonal and the plan's owned-node arrays
+    stay in the parent (top-k is ranked there), so the served graph is the
+    one resident; these tests pin when its registration must change and
+    when it must be reused.
     """
 
     def test_add_edges_bumps_system_epoch(self):
         graph = generators.copying_model_graph(300, out_degree=5, seed=7)
-        with _build_service(graph, resident=True) as service:
+        with _build_service(graph) as service:
             before = service.run_batch(_mixed_queries(8))
-            first = service._serve_backend.resident_handle("system")
+            first = service._serve_backend.resident_handle("graph")
             assert first is not None and first.kind == "shm"
             service.add_edges([(0, 150), (3, 290)])
             after = service.run_batch(_mixed_queries(8))
-            second = service._serve_backend.resident_handle("system")
+            second = service._serve_backend.resident_handle("graph")
             assert second.token != first.token, (
-                "an adopted update must re-register the system view"
+                "an adopted update must re-register the served graph"
             )
+            assert second.epoch == first.epoch + 1
+            assert resolve_resident(second) == service.graph
+            assert service._serve_backend.resident_handle("system") is None
             assert len(before) == len(after)
 
     def test_rebalance_flip_bumps_system_and_nodes_epochs(self):
+        """A plan flip moves ownership, not graph bytes: the graph's
+        registration is reused (no re-export), no per-plan residents
+        appear, and the answers stay bitwise identical."""
         from repro.graph.partition import ShardPlan
 
         graph = generators.copying_model_graph(300, out_degree=5, seed=7)
-        with _build_service(graph, resident=True) as service:
-            service.run_batch(_mixed_queries(8))
-            system_before = service._serve_backend.resident_handle("system")
-            nodes_before = service._serve_backend.resident_handle("shard_nodes")
-            assert system_before is not None and nodes_before is not None
+        with _build_service(graph) as service:
+            reference = service.run_batch(_mixed_queries(8))
+            graph_before = service._serve_backend.resident_handle("graph")
+            assert graph_before is not None
             outcome = service.rebalance(
                 plan=ShardPlan.contiguous(NUM_SHARDS, graph.n_nodes),
                 force=True,
             )
             assert outcome["applied"]
-            service.run_batch(_mixed_queries(8))
-            system_after = service._serve_backend.resident_handle("system")
-            nodes_after = service._serve_backend.resident_handle("shard_nodes")
-            assert system_after.token != system_before.token
-            assert nodes_after.token != nodes_before.token, (
-                "a plan flip must re-register the owned-node arrays"
-            )
+            answers = service.run_batch(_mixed_queries(8))
+            graph_after = service._serve_backend.resident_handle("graph")
+            assert graph_after is graph_before
+            for key in ("system", "shard_nodes"):
+                assert service._serve_backend.resident_handle(key) is None
+            assert _answers_equal(reference, answers)
 
     def test_snapshot_restore_serves_from_fresh_registration(self, tmp_path):
         graph = generators.copying_model_graph(300, out_degree=5, seed=7)
         queries = _mixed_queries(8)
-        with _build_service(graph, resident=True) as service:
+        with _build_service(graph) as service:
             reference = service.run_batch(queries)
             service.save_snapshot(tmp_path)
         restored = ShardedQueryService.from_snapshot(
             graph, tmp_path,
-            service_params=ServiceParams(cache_capacity=0,
-                                         resident_graph=True),
+            service_params=ServiceParams(cache_capacity=0),
         )
         restored._serve_backend = InlineProcessBackend(max_workers=1)
         with restored:
             answers = restored.run_batch(queries)
-            handle = restored._serve_backend.resident_handle("system")
+            handle = restored._serve_backend.resident_handle("graph")
             assert handle is not None and handle.kind == "shm", (
-                "a restored lineage must register a fresh system view"
+                "a restored lineage must register the graph afresh"
             )
         assert _answers_equal(reference, answers)
 
     def test_payload_free_identity_across_updates_and_migration(self):
-        """Bitwise identity vs ship-per-task, before/after live updates
-        and across a forced rebalance migration (acceptance gate)."""
+        """Bitwise identity vs the single-shard service, before/after live
+        updates and across a forced rebalance migration."""
         from repro.graph.partition import ShardPlan
 
         graph = generators.copying_model_graph(300, out_degree=5, seed=7)
@@ -256,18 +276,15 @@ class TestResidentSystemLifecycle:
         single.add_edges(edges)
         after_reference = single.run_batch(queries)
 
-        for resident in (True, False):
-            with _build_service(graph, resident=resident) as service:
-                assert _answers_equal(before_reference,
-                                      service.run_batch(queries))
-                service.add_edges(edges)
-                assert _answers_equal(after_reference,
-                                      service.run_batch(queries))
-                assert service.rebalance(plan=plan, force=True)["applied"]
-                assert _answers_equal(after_reference,
-                                      service.run_batch(queries)), (
-                    f"resident={resident} diverged after a plan migration"
-                )
+        with _build_service(graph) as service:
+            assert _answers_equal(before_reference, service.run_batch(queries))
+            service.add_edges(edges)
+            assert _answers_equal(after_reference, service.run_batch(queries))
+            assert service.rebalance(plan=plan, force=True)["applied"]
+            assert _answers_equal(after_reference,
+                                  service.run_batch(queries)), (
+                "diverged after a plan migration"
+            )
 
     def test_system_payload_independent_of_system_size(self):
         """Per-batch scatter bytes stay O(sources) when the service owns a
@@ -275,9 +292,9 @@ class TestResidentSystemLifecycle:
         queries = _mixed_queries(8)
         small = generators.copying_model_graph(300, out_degree=5, seed=7)
         large = generators.copying_model_graph(3000, out_degree=5, seed=7)
-        with _build_service(small, resident=True) as service:
+        with _build_service(small) as service:
             small_bytes = _batch_scatter_bytes(service, queries)
-        with _build_service(large, resident=True) as service:
+        with _build_service(large) as service:
             large_bytes = _batch_scatter_bytes(service, queries)
         assert large_bytes <= small_bytes * 1.25, (
             f"scatter payload grew with the maintained system: "
@@ -285,21 +302,18 @@ class TestResidentSystemLifecycle:
         )
 
     def test_topk_payload_carries_no_score_slices(self):
-        """The satellite accounting fix made ranking payloads visible:
-        with residency on, a top-k heavy batch must not ship per-shard
-        score slices (O(n/K) floats each) — only handles + scalars."""
+        """Top-k is ranked in the parent, so a top-k batch scatters exactly
+        what the same sources' simulation does — no per-shard score
+        slices (O(n/K) floats each)."""
         graph = generators.copying_model_graph(2000, out_degree=5, seed=7)
         topk_queries = [TopKQuery(i, k=8) for i in range(6)]
-        with _service(graph, resident=True) as service:
-            resident_bytes = _batch_scatter_bytes(service, topk_queries)
-            assert service.last_batch_payload_bytes == resident_bytes
-            assert service.stats()["scatter_payload_bytes"] >= resident_bytes
-        with _service(graph, resident=False) as service:
-            shipped_bytes = _batch_scatter_bytes(service, topk_queries)
-        # Score slices alone are ~ 8 bytes x n/K x shards x queries; the
-        # payload-free path ships none of them.
-        assert resident_bytes * 4 < shipped_bytes
-        assert resident_bytes < 96 * 1024
+        source_queries = [SourceQuery(i) for i in range(6)]
+        with _service(graph) as service:
+            topk_bytes = _batch_scatter_bytes(service, topk_queries)
+            assert service.last_batch_payload_bytes == topk_bytes
+            assert service.stats()["scatter_payload_bytes"] >= topk_bytes
+            assert topk_bytes == _batch_scatter_bytes(service, source_queries)
+        assert topk_bytes < 96 * 1024
 
 
 class TestCloseReleasesSharedMemory:
@@ -327,8 +341,9 @@ class TestCloseReleasesSharedMemory:
         service.close()  # idempotent
 
     def test_close_unlinks_system_and_nodes_segments(self):
-        """The full working set — graph, system view, owned-node arrays —
-        is released on close, including after the pool broke."""
+        """The full working set is the graph alone, also after a top-k
+        batch, and it is released on close, including after the pool
+        broke."""
         graph = generators.copying_model_graph(300, out_degree=5, seed=3)
         service = ShardedQueryService(
             graph, _build_index(graph), _params(),
@@ -337,17 +352,15 @@ class TestCloseReleasesSharedMemory:
             sharding=ShardingParams(num_shards=2),
         )
         service.run_batch(_pair_queries(4) + [TopKQuery(1, k=5)])
-        handles = {key: service._serve_backend.resident_handle(key)
-                   for key in ("graph", "system", "shard_nodes")}
-        for key, handle in handles.items():
-            assert handle is not None, f"{key} must be resident after a batch"
-            assert self._segment_exists(handle.shm_name)
+        handle = service._serve_backend.resident_handle("graph")
+        assert handle is not None and self._segment_exists(handle.shm_name)
+        for key in ("system", "shard_nodes"):
+            assert service._serve_backend.resident_handle(key) is None
         with pytest.raises(BrokenExecutor):
             service._serve_backend.run([_die_hard])
-        for key, handle in handles.items():
-            assert not self._segment_exists(handle.shm_name), (
-                f"broken-pool recovery leaked the {key} segment"
-            )
+        assert not self._segment_exists(handle.shm_name), (
+            "broken-pool recovery leaked the graph segment"
+        )
         service.close()  # must stay a no-op for already-released segments
 
     def test_close_releases_segments_after_pool_breaks(self):

@@ -1,12 +1,12 @@
-"""Update routing through the reachability switch, end to end.
+"""Update routing end to end: affected sets, cache evictions, answers.
 
-``UpdateParams.reachability`` selects how the service computes "which rows
-does this edge batch touch / which cache entries die".  These tests drive
-two identically built services — one per mode — through the same mutation
-stream and assert the observable outcomes are *identical*: affected sets,
-cache-eviction sets, served answers, and index bytes.  The sharded variant
-additionally flips the shard plan mid-stream (a forced rebalance) to prove
-the routing switch survives plan migration.
+Every applied edge batch is routed once: the forward ball of radius ``T``
+around the new edges' heads names the rows the walker re-estimates and the
+cache entries the service drops.  These tests drive services through a
+mutation stream and assert the observable outcomes match the BFS ball
+exactly — affected sets, cache-eviction sets — and that the single-shard
+and sharded services stay identical in affected sets, evictions and index
+bytes, including across a forced rebalance (a shard-plan flip) mid-stream.
 """
 
 import numpy as np
@@ -15,12 +15,9 @@ import pytest
 from repro.config import (
     ServiceParams,
     ShardingParams,
-    SimRankParams,
     UpdateParams,
 )
-from repro.core.reachability import REACHABILITY_MODES
-from repro.errors import ConfigurationError
-from repro.graph import generators
+from repro.core import walks
 from repro.service import (
     PairQuery,
     QueryService,
@@ -53,118 +50,125 @@ def cached_nodes(service):
     return {key.node for cache in caches for key in cache._entries}
 
 
+def expected_ball(graph, batch, steps):
+    return walks.forward_reachable_set(graph, {v for _u, v in batch}, steps)
+
+
+def answers_equal(left, right):
+    for a, b in zip(left, right):
+        if isinstance(a, (float, list)):
+            if a != b:
+                return False
+        elif not np.array_equal(a, b):
+            return False
+    return True
+
+
 class TestUpdateParamsSwitch:
     def test_validation_and_round_trip(self):
-        assert UpdateParams().reachability == "interval"
-        assert UpdateParams(reachability="bfs").reachability == "bfs"
-        with pytest.raises(ConfigurationError):
-            UpdateParams(reachability="dfs")
-        params = UpdateParams(reachability="bfs")
-        assert UpdateParams.from_dict(params.to_dict()) == params
+        """Routing is not configurable: ``UpdateParams`` carries no
+        ``reachability`` knob and rejects a dict that still names one."""
+        params = UpdateParams(max_pending_edges=7)
+        data = params.to_dict()
+        assert "reachability" not in data
+        assert UpdateParams.from_dict(data) == params
+        with pytest.raises(TypeError):
+            UpdateParams(reachability="bfs")
+        with pytest.raises(TypeError):
+            UpdateParams.from_dict({**data, "reachability": "interval"})
 
     def test_stats_surface_the_mode(self, service_graph, service_index,
                                     service_params):
-        for mode in REACHABILITY_MODES:
-            service = QueryService(
-                service_graph, service_index, service_params,
-                update_params=UpdateParams(reachability=mode),
-            )
-            assert service.stats()["reachability"] == mode
+        """Stats count applied updates; no routing-mode key remains."""
+        service = QueryService(service_graph, service_index, service_params)
+        assert service.stats()["updates_applied"] == 0
+        service.add_edges(edge_batches(service_graph.n_nodes, 1, 3, seed=5)[0])
+        stats = service.stats()
+        assert stats["updates_applied"] == 1
+        assert "reachability" not in stats
 
 
 class TestSingleShardEquivalence:
     def test_modes_agree_on_affected_evictions_and_answers(
             self, service_graph, service_index, service_params):
-        services = {
-            mode: QueryService(
-                service_graph, service_index, service_params,
-                update_params=UpdateParams(reachability=mode),
-            )
-            for mode in REACHABILITY_MODES
-        }
+        """Affected set and evictions equal the BFS ball of the batch's
+        heads on the post-update graph; a twin service fed the same stream
+        answers bit for bit the same."""
+        services = [
+            QueryService(service_graph, service_index, service_params)
+            for _ in range(2)
+        ]
+        steps = service_params.walk_steps
         for batch in edge_batches(service_graph.n_nodes, 4, 3, seed=101):
-            outcomes = {}
-            for mode, service in services.items():
-                # Re-fill the cache so every mode evicts from the same pool.
+            outcomes = []
+            for service in services:
+                # Re-fill the cache so every service evicts from the same pool.
                 service.run_batch(QUERIES)
                 before = cached_nodes(service)
                 result = service.add_edges(batch)
                 evicted = before - cached_nodes(service)
-                outcomes[mode] = (result, evicted)
-            bfs_result, bfs_evicted = outcomes["bfs"]
-            int_result, int_evicted = outcomes["interval"]
-            assert int_result.affected == bfs_result.affected
-            assert int_evicted == bfs_evicted
-            assert int_result.routing_seconds >= 0.0
-            answers = {
-                mode: list(service.run_batch(QUERIES))
-                for mode, service in services.items()
-            }
-            for left, right in zip(answers["bfs"], answers["interval"]):
-                if isinstance(left, float):
-                    assert left == right
-                elif isinstance(left, list):
-                    assert left == right
-                else:
-                    assert np.array_equal(left, right)
-            assert np.array_equal(
-                services["bfs"].index.diagonal,
-                services["interval"].index.diagonal,
-            )
+                ball = expected_ball(service.graph, batch, steps)
+                assert result.affected == ball
+                assert evicted == before & ball
+                assert result.routing_seconds >= 0.0
+                outcomes.append((result.affected, evicted))
+            assert outcomes[0] == outcomes[1]
+            answers = [list(service.run_batch(QUERIES)) for service in services]
+            assert answers_equal(answers[0], answers[1])
+            assert np.array_equal(services[0].index.diagonal,
+                                  services[1].index.diagonal)
 
 
 class TestShardedEquivalenceAcrossPlanFlips:
     def test_rebalance_does_not_split_the_modes(self, service_graph,
                                                 service_index,
                                                 service_params):
-        services = {
-            mode: ShardedQueryService(
-                service_graph, service_index, service_params,
-                update_params=UpdateParams(reachability=mode),
-                sharding=ShardingParams(num_shards=3, strategy="hash"),
-            )
-            for mode in REACHABILITY_MODES
-        }
+        """A 3-shard service routes each batch exactly like the single-shard
+        service, before and after a forced plan flip mid-stream."""
+        single = QueryService(service_graph, service_index, service_params,
+                              update_params=UpdateParams())
+        sharded = ShardedQueryService(
+            service_graph, service_index, service_params,
+            update_params=UpdateParams(),
+            sharding=ShardingParams(num_shards=3, strategy="hash"),
+        )
         batches = edge_batches(service_graph.n_nodes, 4, 3, seed=77)
         for step, batch in enumerate(batches):
             if step == 2:
-                # Flip the plan mid-stream; the walker clone must inherit
-                # the routing mode (with_plan passes it through).
-                for mode, service in services.items():
-                    report = service.rebalance(force=True)
-                    assert report["applied"]
-                    walker = service._ensure_mutator().walker
-                    assert walker.reachability == mode
-            outcomes = {}
-            for mode, service in services.items():
+                report = sharded.rebalance(force=True)
+                assert report["applied"]
+            outcomes = []
+            for service in (single, sharded):
                 service.run_batch(QUERIES)
                 before = cached_nodes(service)
                 result = service.add_edges(batch)
                 evicted = before - cached_nodes(service)
-                outcomes[mode] = (result.affected, evicted)
-            assert outcomes["bfs"] == outcomes["interval"]
-        assert np.array_equal(
-            services["bfs"].index.diagonal,
-            services["interval"].index.diagonal,
-        )
+                outcomes.append((result.affected, evicted))
+            assert outcomes[0] == outcomes[1]
+            assert outcomes[0][0] == expected_ball(
+                single.graph, batch, service_params.walk_steps)
+        assert np.array_equal(single.index.diagonal, sharded.index.diagonal)
+        sharded.close()
 
 
 class TestCacheRadiusQuery:
     def test_invalidate_reachable_matches_invalidate_sources(
             self, service_graph, service_index, service_params):
-        from repro.core import walks
-
+        """An update drops exactly the entries ``invalidate_sources`` drops
+        for the BFS ball, and counts them as invalidations."""
         rng = np.random.default_rng(19)
         heads = [int(h) for h in rng.integers(0, service_graph.n_nodes, size=3)]
-        steps = service_params.walk_steps
-        ball = walks.forward_reachable_set(service_graph, heads, steps)
-        for mode in REACHABILITY_MODES:
-            service = QueryService(service_graph, service_index, service_params)
-            service.run_batch(QUERIES)
-            reference = QueryService(service_graph, service_index,
-                                     service_params)
-            reference.run_batch(QUERIES)
-            dropped = service.cache.invalidate_reachable(
-                service_graph, heads, steps, mode=mode)
-            assert dropped == reference.cache.invalidate_sources(ball)
-            assert cached_nodes(service) == cached_nodes(reference)
+        batch = [((h + 1) % service_graph.n_nodes, h) for h in heads]
+        params = ServiceParams(cache_capacity=256)
+        service = QueryService(service_graph, service_index, service_params,
+                               params)
+        service.run_batch(QUERIES)
+        reference = QueryService(service_graph, service_index,
+                                 service_params, params)
+        reference.run_batch(QUERIES)
+        before = service.cache.stats.invalidations
+        service.add_edges(batch)
+        ball = expected_ball(service.graph, batch, service_params.walk_steps)
+        dropped = reference.cache.invalidate_sources(ball)
+        assert service.cache.stats.invalidations - before == dropped
+        assert cached_nodes(service) == cached_nodes(reference)
